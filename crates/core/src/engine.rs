@@ -21,6 +21,7 @@ use reopt_plan::Query;
 use reopt_sampling::{SampleConfig, SampleStore, SharedSampleRunCache};
 use reopt_stats::{analyze_database, AnalyzeOpts, DatabaseStats};
 use reopt_storage::Database;
+use reopt_telemetry::Tracer;
 
 /// Owned re-optimization pipeline: database + statistics + samples +
 /// configuration, usable behind an `Arc` from many threads at once.
@@ -179,37 +180,18 @@ impl ReoptEngine {
         self.with_reoptimizer(|re| re.run(query))
     }
 
-    /// [`Self::reoptimize`] with spans recorded under `tracer` (see
-    /// [`reopt_telemetry`]). A disabled tracer makes this identical to
-    /// `reoptimize`; recording never changes any planning decision.
-    pub fn reoptimize_traced(
-        &self,
-        query: &Query,
-        tracer: &reopt_telemetry::Tracer,
-    ) -> Result<ReoptReport> {
-        self.with_reoptimizer(|re| re.run_traced(query, tracer))
-    }
-
     /// Run Algorithm 1 on `query`, pooling sample dry-run work through
-    /// `sample_cache` (see [`ReOptimizer::run_shared`]). The cache must
-    /// have been used only with this engine's sample store and validation
-    /// options.
-    pub fn reoptimize_shared(
+    /// `sample_cache` and recording spans under `tracer` (see
+    /// [`ReOptimizer::run_with`]; neither argument changes any planning
+    /// decision). The cache must have been used only with this engine's
+    /// sample store and validation options.
+    pub fn reoptimize_with(
         &self,
         query: &Query,
         sample_cache: &SharedSampleRunCache,
+        tracer: &Tracer,
     ) -> Result<ReoptReport> {
-        self.with_reoptimizer(|re| re.run_shared(query, sample_cache))
-    }
-
-    /// [`Self::reoptimize_shared`] with spans recorded under `tracer`.
-    pub fn reoptimize_shared_traced(
-        &self,
-        query: &Query,
-        sample_cache: &SharedSampleRunCache,
-        tracer: &reopt_telemetry::Tracer,
-    ) -> Result<ReoptReport> {
-        self.with_reoptimizer(|re| re.run_shared_traced(query, sample_cache, tracer))
+        self.with_reoptimizer(|re| re.run_with(query, sample_cache, tracer))
     }
 
     /// Re-validate an already-chosen plan against this engine's (fresh)
@@ -219,41 +201,25 @@ impl ReoptEngine {
     /// for every plan Algorithm 1 returns — this reproduces
     /// [`ReoptReport::final_validated_cost`] exactly when the samples
     /// haven't moved, so the serving layer can compare the two costs to
-    /// decide whether a surgically-evicted plan is still good.
+    /// decide whether a surgically-evicted plan is still good. The dry
+    /// run goes through `sample_cache`: subtrees another session already
+    /// validated against the current samples are replayed, not re-run.
     pub fn revalidate_plan(
         &self,
         query: &Query,
         plan: &reopt_plan::PhysicalPlan,
-        tracer: &reopt_telemetry::Tracer,
-    ) -> Result<f64> {
-        let mut cache = reopt_sampling::SampleRunCache::new();
-        self.revalidate_with_cache(query, plan, tracer, &mut cache)
-    }
-
-    /// [`Self::revalidate_plan`], pooling the dry run through the serving
-    /// layer's shared sample-run cache — subtrees another session already
-    /// validated against the current samples are replayed, not re-run.
-    pub fn revalidate_plan_shared(
-        &self,
-        query: &Query,
-        plan: &reopt_plan::PhysicalPlan,
         sample_cache: &SharedSampleRunCache,
-        tracer: &reopt_telemetry::Tracer,
-    ) -> Result<f64> {
-        let mut handle = sample_cache.clone();
-        self.revalidate_with_cache(query, plan, tracer, &mut handle)
-    }
-
-    fn revalidate_with_cache<C: reopt_sampling::ValidationCache>(
-        &self,
-        query: &Query,
-        plan: &reopt_plan::PhysicalPlan,
-        tracer: &reopt_telemetry::Tracer,
-        cache: &mut C,
+        tracer: &Tracer,
     ) -> Result<f64> {
         let mut opts = self.reopt_config.validation.clone();
         opts.tracer = tracer.clone();
-        let v = reopt_sampling::validate_plan_cached(query, plan, &self.samples, &opts, cache)?;
+        let v = reopt_sampling::validate_plan_cached(
+            query,
+            plan,
+            &self.samples,
+            &opts,
+            &mut sample_cache.clone(),
+        )?;
         let optimizer =
             Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone());
         let (_, cost) = optimizer.cost_plan(query, plan, &v.delta)?;
@@ -387,9 +353,10 @@ mod tests {
                 .unwrap();
         let q = ott_query(4, &[0, 0, 0, 1]);
         let report = engine.reoptimize(&q).unwrap();
-        let tracer = reopt_telemetry::Tracer::disabled();
+        let tracer = Tracer::disabled();
+        let shared = SharedSampleRunCache::new();
         let cost = engine
-            .revalidate_plan(&q, &report.final_plan, &tracer)
+            .revalidate_plan(&q, &report.final_plan, &shared, &tracer)
             .unwrap();
         assert!(
             (cost - report.final_validated_cost).abs()
@@ -397,13 +364,12 @@ mod tests {
             "revalidated {cost} vs loop {0}",
             report.final_validated_cost
         );
-        // The shared-cache variant agrees and leaves entries behind.
-        let shared = SharedSampleRunCache::new();
-        let c2 = engine
-            .revalidate_plan_shared(&q, &report.final_plan, &shared, &tracer)
-            .unwrap();
-        assert_eq!(c2, cost);
+        // The dry run leaves its entries behind, and a replay agrees.
         assert!(shared.stats().entries > 0);
+        let replayed = engine
+            .revalidate_plan(&q, &report.final_plan, &shared, &tracer)
+            .unwrap();
+        assert_eq!(replayed, cost);
     }
 
     #[test]
@@ -424,7 +390,9 @@ mod tests {
                     // Half the threads share the cache, half run private.
                     let q = ott_query(4, &[0, 0, 0, 1]);
                     let r = if i % 2 == 0 {
-                        engine.reoptimize_shared(&q, &shared).unwrap()
+                        engine
+                            .reoptimize_with(&q, &shared, &Tracer::disabled())
+                            .unwrap()
                     } else {
                         engine.reoptimize(&q).unwrap()
                     };

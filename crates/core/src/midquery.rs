@@ -34,9 +34,9 @@
 //! sort, exactly as they would across plan shapes.
 
 use reopt_common::{RelSet, Result};
-use reopt_executor::agg::aggregate_opts;
 use reopt_executor::{
-    AggOutput, CheckpointStore, ExecMetrics, ExecOpts, ExecStep, Executor, RowSet,
+    aggregate, AggOutput, CheckpointStore, ExecMetrics, ExecOpts, ExecStep, Executor, RowSet,
+    TracedRun,
 };
 use reopt_optimizer::{CardOverrides, Optimizer, PinnedLeaf, PlanMemo};
 use reopt_plan::{PhysicalPlan, Query};
@@ -187,15 +187,9 @@ pub fn execute_mid_query(
     if query.num_relations() > optimizer.config().geqo_threshold || max_suspensions == 0 {
         return execute_straight(db, query, start_plan, gamma, exec_opts);
     }
-    // Resolve the env-backed executor knobs once up front: segments below
-    // each construct their own (cheap) executor so operator spans nest
-    // under their segment span, and none of them may re-read environment
-    // variables on the way.
+    // Segments below each construct their own (cheap) executor so
+    // operator spans nest under their segment span.
     let tracer = exec_opts.tracer.clone();
-    let mut exec_opts = exec_opts;
-    exec_opts.threads = exec_opts.effective_threads();
-    exec_opts.columnar = Some(exec_opts.effective_columnar());
-    let columnar = exec_opts.effective_columnar();
     let mut run_span = tracer.span(names::MIDQUERY_RUN);
     let run_tracer = tracer.under(&run_span);
     let mut store = CheckpointStore::new();
@@ -249,7 +243,7 @@ pub fn execute_mid_query(
                             ..exec_opts.clone()
                         },
                     );
-                    break exec.run_traced_cached(query, &plan, &mut store)?;
+                    break exec.run_pipeline(query, &plan, Some(&mut store))?;
                 }
                 let mut sus_span = run_tracer.span(names::MIDQUERY_SUSPEND);
                 if sus_span.is_recording() {
@@ -335,17 +329,9 @@ pub fn execute_mid_query(
     };
 
     metrics.merge(&run.metrics);
-    let agg = match &query.aggregate {
-        Some(spec) => Some(aggregate_opts(
-            db,
-            query,
-            &run.rows,
-            spec,
-            columnar,
-            &mut metrics,
-        )?),
-        None => None,
-    };
+    let agg = (query.aggregate.as_ref())
+        .map(|spec| aggregate(db, query, &run.rows, spec, &mut metrics))
+        .transpose()?;
     stats.checkpoints = store.len();
     stats.splices = store.splices();
     stats.exact_gamma_entries = gamma.exact_len() - exact_before;
@@ -377,20 +363,12 @@ pub fn execute_straight(
     gamma: CardOverrides,
     exec_opts: ExecOpts,
 ) -> Result<MidQueryRun> {
-    let columnar = exec_opts.effective_columnar();
-    let exec = Executor::with_opts(db, exec_opts);
-    let (rows, mut metrics) = exec.run_rowset(query, plan)?;
-    let agg = match &query.aggregate {
-        Some(spec) => Some(aggregate_opts(
-            db,
-            query,
-            &rows,
-            spec,
-            columnar,
-            &mut metrics,
-        )?),
-        None => None,
-    };
+    let TracedRun {
+        rows, mut metrics, ..
+    } = Executor::with_opts(db, exec_opts).run_pipeline(query, plan, None)?;
+    let agg = (query.aggregate.as_ref())
+        .map(|spec| aggregate(db, query, &rows, spec, &mut metrics))
+        .transpose()?;
     Ok(MidQueryRun {
         rows,
         agg,
@@ -513,7 +491,7 @@ mod tests {
             // of the same set wherever that set appears in its trace.
             let exec = Executor::with_opts(&db, ExecOpts::serial());
             let trace = exec
-                .run_traced(&q, mid.run.report.final_plan())
+                .run_pipeline(&q, mid.run.report.final_plan(), None)
                 .unwrap()
                 .node_cards;
             for (set, rows) in trace {
@@ -545,7 +523,7 @@ mod tests {
         let mut gamma = CardOverrides::new();
         let mut plan = opt.optimize_with(&q, &gamma).unwrap().plan;
         for _ in 0..8 {
-            let trace = exec.run_traced(&q, &plan).unwrap().node_cards;
+            let trace = exec.run_pipeline(&q, &plan, None).unwrap().node_cards;
             for (set, rows) in trace {
                 gamma.insert_exact(set, rows as f64);
             }
@@ -556,7 +534,7 @@ mod tests {
             plan = next;
         }
 
-        let base = exec.run_traced(&q, &plan).unwrap();
+        let base = exec.run_pipeline(&q, &plan, None).unwrap();
         let mid = execute_mid_query(
             &db,
             &opt,
@@ -593,7 +571,10 @@ mod tests {
         let executed = re.execute(&q).unwrap();
         assert_eq!(executed.run.report.stats, MidQueryStats::default());
         let exec = Executor::with_opts(&db, ExecOpts::serial());
-        let (rows, _) = exec.run_rowset(&q, &executed.report.final_plan).unwrap();
+        let rows = exec
+            .run_pipeline(&q, &executed.report.final_plan, None)
+            .unwrap()
+            .rows;
         assert_eq!(canonical(&rows), canonical(&executed.run.rows));
     }
 }

@@ -15,7 +15,7 @@
 use reopt_common::{Error, Result, Stopwatch};
 use reopt_optimizer::{CardOverrides, Optimizer};
 use reopt_plan::{PhysicalPlan, Query};
-use reopt_sampling::SampleStore;
+use reopt_sampling::{SampleStore, SharedSampleRunCache};
 
 use crate::reopt::{IncrementalCaches, ReOptConfig};
 use crate::report::RoundReport;
@@ -58,7 +58,7 @@ pub fn run_multi_seed(
     // The sample dry-run cache depends only on (query, samples), so it is
     // shared across *all* seeds — later seeds validate mostly from cache,
     // the same effect the shared Γ has on their round counts.
-    let mut caches = IncrementalCaches::new(config.incremental);
+    let mut caches = IncrementalCaches::new(config.incremental, SharedSampleRunCache::new());
 
     for optimizer in seeds {
         // Algorithm 1 with a *pre-seeded* Γ (the merge of everything
@@ -117,7 +117,8 @@ pub fn run_multi_seed_parallel(
             .map(|optimizer| {
                 s.spawn(move || -> Result<(Vec<RoundReport>, CardOverrides)> {
                     let mut gamma = CardOverrides::new();
-                    let mut caches = IncrementalCaches::new(config.incremental);
+                    let mut caches =
+                        IncrementalCaches::new(config.incremental, SharedSampleRunCache::new());
                     let rounds = seed_loop(
                         optimizer,
                         samples,

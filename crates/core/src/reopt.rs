@@ -26,8 +26,8 @@ use reopt_optimizer::{CardOverrides, Optimizer, PlanMemo};
 use reopt_plan::transform::{classify_transformation, is_covered_by};
 use reopt_plan::{JoinTree, PhysicalPlan, Query};
 use reopt_sampling::{
-    validate_plan, validate_plan_cached, SampleRunCache, SampleStore, SharedSampleRunCache,
-    Validation, ValidationCache, ValidationOpts,
+    validate_plan, validate_plan_cached, SampleStore, SharedSampleRunCache, Validation,
+    ValidationOpts,
 };
 use reopt_telemetry::{names, Tracer};
 
@@ -57,11 +57,11 @@ pub struct ReOptConfig {
     /// Reuse work across rounds (on by default): the optimizer keeps its
     /// DP table in a [`PlanMemo`] and re-plans only the subsets whose
     /// cardinalities the latest Δ can affect, and plan validation replays
-    /// sample dry-run subtrees from a [`SampleRunCache`] instead of
+    /// sample dry-run subtrees from a [`SharedSampleRunCache`] instead of
     /// re-executing them. Both caches are exact — the final plan and Γ are
     /// structurally identical to the from-scratch path (`incremental:
-    /// false`, kept for A/B comparison and the `bench_incremental`
-    /// harness).
+    /// false`, kept for A/B comparison; `tests/incremental.rs` holds the
+    /// equivalence).
     pub incremental: bool,
     /// Mid-query re-optimization (off by default): execution suspends at
     /// every materialization point (non-root join), folds the exact
@@ -116,18 +116,6 @@ impl ReOptConfig {
         config.validation.threads = threads;
         config
     }
-
-    /// Default configuration with the executor engine pinned: columnar
-    /// (batch-at-a-time) when `true`, row-at-a-time when `false`. Both
-    /// engines are bit-identical, so Δ, the plan trajectory, and final
-    /// rows never depend on this knob — only wall-clock does. The default
-    /// (`None`) follows [`reopt_executor::default_columnar`], i.e. the
-    /// `REOPT_COLUMNAR` environment variable.
-    pub fn with_columnar(columnar: bool) -> Self {
-        let mut config = ReOptConfig::default();
-        config.validation.columnar = Some(columnar);
-        config
-    }
 }
 
 /// The cross-round caches of one incremental run, owning the shared round
@@ -135,25 +123,18 @@ impl ReOptConfig {
 /// [`crate::multi_seed::run_multi_seed`] cannot drift apart. With
 /// `enabled: false` every call falls through to the from-scratch path.
 ///
-/// Generic over the sample-cache handle: a run owns a private
-/// [`SampleRunCache`] by default, while the serving layer passes a
-/// [`SharedSampleRunCache`] so concurrent sessions pool validated
-/// subtrees ([`ReOptimizer::run_shared`]).
+/// The sample cache is a handle: a fresh one for a run-private cache, a
+/// clone of the serving layer's so concurrent sessions pool validated
+/// subtrees ([`ReOptimizer::run_with`]).
 #[derive(Debug)]
-pub(crate) struct IncrementalCaches<C = SampleRunCache> {
+pub(crate) struct IncrementalCaches {
     memo: PlanMemo,
-    sample_cache: C,
+    sample_cache: SharedSampleRunCache,
     enabled: bool,
 }
 
-impl IncrementalCaches<SampleRunCache> {
-    pub(crate) fn new(enabled: bool) -> Self {
-        Self::with_sample_cache(enabled, SampleRunCache::new())
-    }
-}
-
-impl<C: ValidationCache> IncrementalCaches<C> {
-    pub(crate) fn with_sample_cache(enabled: bool, sample_cache: C) -> Self {
+impl IncrementalCaches {
+    pub(crate) fn new(enabled: bool, sample_cache: SharedSampleRunCache) -> Self {
         IncrementalCaches {
             memo: PlanMemo::new(),
             sample_cache,
@@ -273,55 +254,39 @@ impl<'a> ReOptimizer<'a> {
         self.samples
     }
 
-    /// Run Algorithm 1 on `query`.
+    /// Run Algorithm 1 on `query` with a run-private sample cache and the
+    /// configured tracer.
     pub fn run(&self, query: &Query) -> Result<ReoptReport> {
-        // Cross-round caches (incremental mode): the DP table survives
-        // between optimizer calls minus the stale frontier, and sample
-        // dry-run subtrees are replayed instead of re-executed.
-        let mut caches = IncrementalCaches::new(self.config.incremental);
-        self.run_with_caches(query, &mut caches, &self.config.validation.tracer)
+        self.run_with(
+            query,
+            &SharedSampleRunCache::new(),
+            &self.config.validation.tracer,
+        )
     }
 
-    /// [`ReOptimizer::run`] with an explicit span recorder: the loop emits
-    /// `reopt.loop` → `reopt.round` → (`optimizer.dp`, `sampling.dry_run`)
-    /// spans under the caller's tracer. Recording never feeds back into
-    /// planning, so the report is identical to an untraced run's.
-    pub fn run_traced(&self, query: &Query, tracer: &Tracer) -> Result<ReoptReport> {
-        let mut caches = IncrementalCaches::new(self.config.incremental);
-        self.run_with_caches(query, &mut caches, tracer)
-    }
-
-    /// Run Algorithm 1 on `query`, pooling sample dry-run work through a
-    /// [`SharedSampleRunCache`] instead of a run-private cache. Subtrees
-    /// this run validates become visible to every other sharer (and vice
-    /// versa) — the serving layer uses this so cold misses on different
-    /// query templates share validated subtree estimates. The final plan
-    /// and Γ are identical to [`ReOptimizer::run`]'s: the cache is exact,
-    /// whoever filled it. Requires `config.incremental` (the default);
-    /// with `incremental: false` validation bypasses caches entirely and
-    /// this behaves exactly like `run`. The shared cache must belong to
+    /// Run Algorithm 1 on `query`, pooling sample dry-run work through
+    /// `sample_cache` and emitting `reopt.loop` → `reopt.round` →
+    /// (`optimizer.dp`, `sampling.dry_run`) spans under `tracer`.
+    ///
+    /// Subtrees this run validates become visible to every other holder
+    /// of the cache (and vice versa) — the serving layer passes its one
+    /// cache so cold misses on different query templates share validated
+    /// subtree estimates. The final plan and Γ do not depend on either
+    /// argument: the cache is exact, whoever filled it (with
+    /// `incremental: false` validation bypasses it entirely), and
+    /// recording never feeds back into planning. The cache must belong to
     /// the same ([`SampleStore`], [`ValidationOpts`]) contract as this
     /// re-optimizer.
-    pub fn run_shared(
-        &self,
-        query: &Query,
-        sample_cache: &SharedSampleRunCache,
-    ) -> Result<ReoptReport> {
-        let mut caches =
-            IncrementalCaches::with_sample_cache(self.config.incremental, sample_cache.clone());
-        self.run_with_caches(query, &mut caches, &self.config.validation.tracer)
-    }
-
-    /// [`ReOptimizer::run_shared`] with an explicit span recorder (see
-    /// [`ReOptimizer::run_traced`]).
-    pub fn run_shared_traced(
+    pub fn run_with(
         &self,
         query: &Query,
         sample_cache: &SharedSampleRunCache,
         tracer: &Tracer,
     ) -> Result<ReoptReport> {
-        let mut caches =
-            IncrementalCaches::with_sample_cache(self.config.incremental, sample_cache.clone());
+        // Cross-round caches (incremental mode): the DP table survives
+        // between optimizer calls minus the stale frontier, and sample
+        // dry-run subtrees are replayed instead of re-executed.
+        let mut caches = IncrementalCaches::new(self.config.incremental, sample_cache.clone());
         self.run_with_caches(query, &mut caches, tracer)
     }
 
@@ -335,7 +300,6 @@ impl<'a> ReOptimizer<'a> {
             query,
             reopt_executor::ExecOpts {
                 threads: self.config.validation.threads,
-                columnar: self.config.validation.columnar,
                 ..Default::default()
             },
         )
@@ -352,7 +316,8 @@ impl<'a> ReOptimizer<'a> {
         query: &Query,
         exec_opts: reopt_executor::ExecOpts,
     ) -> Result<ExecutedReopt> {
-        let mut caches = IncrementalCaches::new(self.config.incremental);
+        let mut caches =
+            IncrementalCaches::new(self.config.incremental, SharedSampleRunCache::new());
         // One tracer covers the whole journey: the sampling loop's spans
         // and the execution's land in the same trace.
         let tracer = exec_opts.tracer.clone();
@@ -383,10 +348,10 @@ impl<'a> ReOptimizer<'a> {
         Ok(ExecutedReopt { report, run })
     }
 
-    fn run_with_caches<C: ValidationCache>(
+    fn run_with_caches(
         &self,
         query: &Query,
-        caches: &mut IncrementalCaches<C>,
+        caches: &mut IncrementalCaches,
         tracer: &Tracer,
     ) -> Result<ReoptReport> {
         let t_start = Stopwatch::start();
@@ -991,7 +956,7 @@ mod tests {
 
         // Equivalence: the shared-cache run ends where the private run does.
         let shared = SharedSampleRunCache::new();
-        let ra = re.run_shared(&qa, &shared).unwrap();
+        let ra = re.run_with(&qa, &shared, &Tracer::disabled()).unwrap();
         let base_a = re.run(&qa).unwrap();
         assert_eq!(ra.num_rounds(), base_a.num_rounds());
         assert!(ra.final_plan.same_structure(&base_a.final_plan));
@@ -1002,10 +967,10 @@ mod tests {
 
         // Cross-query pooling: qb alone (fresh cache) vs qb after qa.
         let fresh = SharedSampleRunCache::new();
-        let rb_alone = re.run_shared(&qb, &fresh).unwrap();
+        let rb_alone = re.run_with(&qb, &fresh, &Tracer::disabled()).unwrap();
         let alone = fresh.stats();
         let before = shared.stats();
-        let rb = re.run_shared(&qb, &shared).unwrap();
+        let rb = re.run_with(&qb, &shared, &Tracer::disabled()).unwrap();
         let after = shared.stats();
         assert!(rb.final_plan.same_structure(&rb_alone.final_plan));
         assert!(

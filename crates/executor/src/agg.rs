@@ -4,21 +4,19 @@
 //! skipped by `SUM`/`MIN`/`MAX`/`AVG`; `COUNT(*)` counts tuples; grouping
 //! treats NULL as a regular group key.
 //!
-//! Two engines produce bit-identical output (see [`aggregate_opts`]): the
-//! row engine builds one `Vec<i64>` key per input row and updates a
-//! key-addressed map entry per row; the columnar engine assigns every row
-//! a dense group id through a chained hash over the gathered key columns
-//! (one key vector per *group*, not per row), then updates each
-//! aggregate's accumulators column-at-a-time. Both visit rows in
-//! ascending order within every group, so even float `SUM`/`AVG`
-//! accumulation matches bit for bit; both render through the same
+//! Every input row gets a dense group id through a chained hash over the
+//! gathered key columns (one key vector per *group*, not per row), then
+//! each aggregate's accumulators update column-at-a-time. Rows are visited
+//! in ascending order within every group, so even float `SUM`/`AVG`
+//! accumulation is bit-identical to the row-at-a-time oracle
+//! ([`crate::reference::aggregate`]); both render through the same
 //! sort-by-raw-key materialization.
 
 use crate::metrics::ExecMetrics;
 use crate::rowset::RowSet;
 use reopt_common::hash::FxHasher;
-use reopt_common::{FxHashMap, Result};
-use reopt_plan::query::{AggExpr, AggFunc, AggSpec, ColRef};
+use reopt_common::Result;
+use reopt_plan::query::{AggFunc, AggSpec, ColRef};
 use reopt_plan::Query;
 use reopt_storage::batch::{take_i64_buffer, take_u32_buffer, BATCH_SIZE};
 use reopt_storage::value::NULL_SENTINEL;
@@ -48,8 +46,9 @@ impl AggOutput {
     }
 }
 
+/// One aggregate expression's accumulator for one group.
 #[derive(Debug, Clone)]
-enum AggState {
+pub(crate) enum AggState {
     Count(u64),
     Sum { sum: f64, seen: bool },
     Min(Option<i64>),
@@ -58,7 +57,7 @@ enum AggState {
 }
 
 impl AggState {
-    fn new(func: AggFunc) -> Self {
+    pub(crate) fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum {
@@ -71,7 +70,7 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, raw: Option<i64>) {
+    pub(crate) fn update(&mut self, raw: Option<i64>) {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::Sum { sum, seen } => {
@@ -122,32 +121,8 @@ impl AggState {
     }
 }
 
-/// Evaluate `spec` over the join result `rows` with the row engine.
-pub fn aggregate(db: &Database, query: &Query, rows: &RowSet, spec: &AggSpec) -> Result<AggOutput> {
-    let mut dict_hits = 0;
-    aggregate_rows(db, query, rows, spec, &mut dict_hits)
-}
-
-/// Evaluate `spec` over `rows`, choosing the columnar or row engine and
-/// folding batch counters into `metrics`. Output is bit-identical either
-/// way (see the module docs).
-pub fn aggregate_opts(
-    db: &Database,
-    query: &Query,
-    rows: &RowSet,
-    spec: &AggSpec,
-    columnar: bool,
-    metrics: &mut ExecMetrics,
-) -> Result<AggOutput> {
-    if columnar {
-        aggregate_columnar(db, query, rows, spec, metrics)
-    } else {
-        aggregate_rows(db, query, rows, spec, &mut metrics.dict_hits)
-    }
-}
-
 /// Resolve a column reference to `(column data, rowids)` over `rows`.
-fn resolve<'a>(
+pub(crate) fn resolve<'a>(
     db: &'a Database,
     query: &Query,
     rows: &'a RowSet,
@@ -159,64 +134,14 @@ fn resolve<'a>(
     Ok((data, ids))
 }
 
-fn aggregate_rows(
-    db: &Database,
-    query: &Query,
-    rows: &RowSet,
-    spec: &AggSpec,
-    dict_hits: &mut u64,
-) -> Result<AggOutput> {
-    // Resolve input columns once.
-    let key_cols: Vec<(&[i64], &[u32])> = spec
-        .group_by
-        .iter()
-        .map(|c| resolve(db, query, rows, c))
-        .collect::<Result<_>>()?;
-    let agg_inputs: Vec<Option<(&[i64], &[u32])>> = spec
-        .aggs
-        .iter()
-        .map(|a| {
-            a.input
-                .as_ref()
-                .map(|c| resolve(db, query, rows, c))
-                .transpose()
-        })
-        .collect::<Result<_>>()?;
-
-    let mut groups: FxHashMap<Vec<i64>, Vec<AggState>> = FxHashMap::default();
-    for i in 0..rows.len() {
-        let key: Vec<i64> = key_cols
-            .iter()
-            .map(|(data, ids)| data[ids[i] as usize])
-            .collect();
-        let states = groups.entry(key).or_insert_with(|| {
-            spec.aggs
-                .iter()
-                .map(|a: &AggExpr| AggState::new(a.func))
-                .collect()
-        });
-        for (state, input) in states.iter_mut().zip(&agg_inputs) {
-            let raw = input.as_ref().map(|(data, ids)| data[ids[i] as usize]);
-            match raw {
-                Some(NULL_SENTINEL) => state.update(None),
-                Some(v) => state.update(Some(v)),
-                None => state.update(None), // COUNT(*)
-            }
-        }
-    }
-
-    // lint: ordered-ok(materialize sorts `keyed` by group key before emitting, and AggState accumulation is per-group, so hash-order drain cannot reach the output)
-    let keyed: Vec<(Vec<i64>, Vec<AggState>)> = groups.into_iter().collect();
-    materialize(db, query, spec, keyed, dict_hits)
-}
-
-/// Columnar aggregation: one pass assigns every input row a dense group
+/// Evaluate `spec` over the join result `rows`, folding batch counters
+/// into `metrics`: one pass assigns every input row a dense group
 /// id via a chained hash over the gathered key columns (group keys are
 /// stored once per group), then each aggregate expression updates its
 /// per-group accumulators in a tight column-at-a-time loop. Rows are
 /// visited in ascending order throughout, so per-group accumulation order
-/// — and with it float `SUM`/`AVG` bits — matches the row engine.
-fn aggregate_columnar(
+/// — and with it float `SUM`/`AVG` bits — matches the reference.
+pub fn aggregate(
     db: &Database,
     query: &Query,
     rows: &RowSet,
@@ -280,8 +205,8 @@ fn aggregate_columnar(
     // time: the function dispatch of `AggState::update` is hoisted out of
     // the per-row loop, each pass touching one input column and one
     // accumulator array. The arithmetic — `v as f64` then `+=` in
-    // ascending row order within every group — is exactly the row
-    // engine's, so float bits match.
+    // ascending row order within every group — is exactly the
+    // reference's, so float bits match.
     enum Acc {
         Count(Vec<u64>),
         Sum { sum: Vec<f64>, seen: Vec<bool> },
@@ -395,7 +320,7 @@ fn aggregate_columnar(
 
 /// Shared rendering: sort groups by raw key, decode typed key values
 /// (dictionary lookups counted in `dict_hits`), finish the accumulators.
-fn materialize(
+pub(crate) fn materialize(
     db: &Database,
     query: &Query,
     spec: &AggSpec,
@@ -437,6 +362,7 @@ fn materialize(
 mod tests {
     use super::*;
     use reopt_common::{ColId, RelId};
+    use reopt_plan::query::AggExpr;
     use reopt_plan::QueryBuilder;
     use reopt_storage::{Column, ColumnDef, LogicalType, Table, TableSchema};
 
@@ -488,7 +414,7 @@ mod tests {
             ],
         };
         let q = query(&db, spec.clone());
-        let out = aggregate(&db, &q, &base_rowset(), &spec).unwrap();
+        let out = aggregate(&db, &q, &base_rowset(), &spec, &mut ExecMetrics::default()).unwrap();
         assert_eq!(out.num_groups(), 2);
         // Groups sorted by dictionary code: "a" (code 0) then "b" (code 1).
         let a = &out.rows[0];
@@ -515,7 +441,7 @@ mod tests {
         };
         let q = query(&db, spec.clone());
         let empty = RowSet::single(RelId::new(0), vec![]);
-        let out = aggregate(&db, &q, &empty, &spec).unwrap();
+        let out = aggregate(&db, &q, &empty, &spec, &mut ExecMetrics::default()).unwrap();
         // SQL: global aggregate over empty input produces zero groups here
         // (we model the ungrouped case as "no group seen" — callers read
         // COUNT=0 from the absence of rows).
@@ -531,7 +457,7 @@ mod tests {
             aggs: vec![AggExpr::count_star(), AggExpr::avg(x)],
         };
         let q = query(&db, spec.clone());
-        let out = aggregate(&db, &q, &base_rowset(), &spec).unwrap();
+        let out = aggregate(&db, &q, &base_rowset(), &spec, &mut ExecMetrics::default()).unwrap();
         assert_eq!(out.num_groups(), 1);
         assert_eq!(out.rows[0].aggs[0], Value::Int(5));
         assert_eq!(out.rows[0].aggs[1], Value::Float(11.0 / 4.0));
@@ -566,7 +492,7 @@ mod tests {
         qb.aggregate(spec.clone());
         let q = qb.build();
         let rows = RowSet::single(RelId::new(0), vec![0, 1, 2]);
-        let out = aggregate(&db, &q, &rows, &spec).unwrap();
+        let out = aggregate(&db, &q, &rows, &spec, &mut ExecMetrics::default()).unwrap();
         let r = &out.rows[0];
         assert_eq!(r.aggs[0], Value::Null);
         assert_eq!(r.aggs[1], Value::Null);
@@ -575,13 +501,13 @@ mod tests {
         assert_eq!(r.aggs[4], Value::Int(3));
     }
 
-    /// The two engines must agree bit for bit — including `AVG`/`SUM`
-    /// float bits (accumulation order) and typed key rendering — on a
-    /// fixture with dictionary keys, NULL group keys, NULL agg inputs,
-    /// multi-column grouping, and values whose float sums are
+    /// The engine must agree with the reference bit for bit — including
+    /// `AVG`/`SUM` float bits (accumulation order) and typed key rendering
+    /// — on a fixture with dictionary keys, NULL group keys, NULL agg
+    /// inputs, multi-column grouping, and values whose float sums are
     /// order-sensitive.
     #[test]
-    fn columnar_engine_is_bit_identical_to_row_engine() {
+    fn engine_is_bit_identical_to_reference() {
         let mut db = Database::new();
         let n = 5000usize;
         db.add_table_with(|id| {
@@ -636,10 +562,9 @@ mod tests {
         let q = qb.build();
         let rows = RowSet::single(RelId::new(0), (0..n as u32).collect());
 
-        let mut row_m = ExecMetrics::default();
         let mut col_m = ExecMetrics::default();
-        let by_rows = aggregate_opts(&db, &q, &rows, &spec, false, &mut row_m).unwrap();
-        let by_cols = aggregate_opts(&db, &q, &rows, &spec, true, &mut col_m).unwrap();
+        let by_rows = crate::reference::aggregate(&db, &q, &rows, &spec).unwrap();
+        let by_cols = aggregate(&db, &q, &rows, &spec, &mut col_m).unwrap();
         assert_eq!(by_rows.num_groups(), by_cols.num_groups());
         assert!(by_rows.num_groups() > 4, "fixture must produce many groups");
         for (a, b) in by_rows.rows.iter().zip(&by_cols.rows) {
@@ -654,14 +579,11 @@ mod tests {
                 }
             }
         }
-        assert_eq!(row_m.batches_processed, 0);
         assert_eq!(
             col_m.batches_processed,
             (n as u64).div_ceil(BATCH_SIZE as u64)
         );
         assert_eq!(col_m.batch_rows, n as u64);
-        // Both engines render the same dictionary-coded keys.
-        assert_eq!(row_m.dict_hits, col_m.dict_hits);
         assert!(col_m.dict_hits > 0);
     }
 }

@@ -127,7 +127,7 @@ impl CheckpointStore {
     /// [`Executor::run_step`](crate::Executor::run_step) seals
     /// automatically before its final segment; a caller finishing a plan
     /// early (e.g. a suspension cap) seals before its own last
-    /// `run_traced_cached`.
+    /// `run_pipeline`.
     pub fn seal(&mut self) {
         self.sealed = true;
     }
@@ -246,7 +246,7 @@ impl Executor<'_> {
         match next_breaker(plan, store, true) {
             Some(breaker) => {
                 let breaker_set = breaker.relset();
-                let run = self.run_traced_cached(query, breaker, store)?;
+                let run = self.run_pipeline(query, breaker, Some(store))?;
                 store.note_breaker(breaker_set, breaker);
                 Ok(ExecStep::Suspended {
                     breaker: breaker_set,
@@ -259,7 +259,7 @@ impl Executor<'_> {
                 // the remainder's intermediates (or the final result)
                 // would only copy rows nobody will read.
                 store.seal();
-                let run = self.run_traced_cached(query, plan, store)?;
+                let run = self.run_pipeline(query, plan, Some(store))?;
                 Ok(ExecStep::Complete(run))
             }
         }
@@ -351,7 +351,7 @@ mod tests {
         let q = chain_query();
         let plan = left_deep();
         let exec = Executor::with_opts(&db, ExecOpts::serial());
-        let straight = exec.run_traced(&q, &plan).unwrap();
+        let straight = exec.run_pipeline(&q, &plan, None).unwrap();
 
         let mut store = CheckpointStore::new();
         let mut segments: Vec<ExecMetrics> = Vec::new();
@@ -400,7 +400,7 @@ mod tests {
         let q = chain_query();
         let plan = left_deep();
         let exec = Executor::with_opts(&db, ExecOpts::serial());
-        let straight = exec.run_traced(&q, &plan).unwrap();
+        let straight = exec.run_pipeline(&q, &plan, None).unwrap();
 
         let mut store = CheckpointStore::new();
         let ExecStep::Suspended { .. } = exec.run_step(&q, &plan, &mut store).unwrap() else {

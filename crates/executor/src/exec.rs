@@ -1,25 +1,23 @@
 //! Plan execution.
 //!
-//! # Columnar (batch-at-a-time) execution
+//! # One engine: columnar (batch-at-a-time) operators
 //!
-//! [`ExecOpts::columnar`] (default on; `REOPT_COLUMNAR=0` disables)
-//! switches the hot operators from row-at-a-time to vectorized evaluation
-//! over [`reopt_storage::batch::ColumnBatch`] windows: scan filters run
-//! monomorphized comparison kernels over a selection vector ([`BATCH_SIZE`]
-//! rows at a time, scratch buffers recycled through the thread-local
-//! pool), hash joins counting-sort build rows into a bucket-packed table
-//! (contiguous runs per bucket, zero per-key allocation) instead of a map
-//! of per-key row vectors, and aggregation assigns group ids in one pass
-//! then updates accumulators column-at-a-time. Results are **bit-identical
-//! to the row engine**: selection vectors keep ascending row order, the
-//! counting sort is stable so each bucket run iterates in ascending
-//! build-row order (the map engine's insertion order), and per-group
-//! accumulator updates happen in the same
+//! The hot operators evaluate over [`reopt_storage::batch::ColumnBatch`]
+//! windows: scan filters run monomorphized comparison kernels over a
+//! selection vector ([`BATCH_SIZE`] rows at a time, scratch buffers
+//! recycled through the thread-local pool), hash joins counting-sort build
+//! rows into a bucket-packed table (contiguous runs per bucket, zero
+//! per-key allocation), and aggregation assigns group ids in one pass then
+//! updates accumulators column-at-a-time. Selection vectors keep ascending
+//! row order, the counting sort is stable so each bucket run iterates in
+//! ascending build-row order, and per-group accumulator updates happen in
 //! ascending row order — so `RowSet`s, `node_cards`, Δ, trajectories and
-//! float aggregates match bit for bit. Materialization back to [`RowSet`]
-//! happens only at operator boundaries (the pipeline breakers), which is
-//! exactly where `CheckpointStore`, `SubtreeCache` and the
-//! observed-cardinality trace already live — their semantics are untouched.
+//! float aggregates are **bit-identical to the row-at-a-time oracle** in
+//! [`crate::reference`], which the differential suites compare against
+//! and no option can select. Materialization back to [`RowSet`] happens
+//! only at operator boundaries (the pipeline breakers), which is exactly
+//! where `CheckpointStore`, `SubtreeCache` and the observed-cardinality
+//! trace live.
 //!
 //! # Intra-query parallelism
 //!
@@ -37,12 +35,13 @@
 //! traces, and every downstream validated cardinality.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use crate::agg::{aggregate_opts, AggOutput};
+use crate::agg::{aggregate, AggOutput};
 use crate::metrics::ExecMetrics;
 use crate::rowset::RowSet;
 use reopt_common::hash::FxHasher;
-use reopt_common::{ColId, Error, FxHashMap, RelId, RelSet, Result};
+use reopt_common::{ColId, Error, RelId, RelSet, Result};
 use reopt_plan::query::ColRef;
 use reopt_plan::{AccessPath, CmpOp, JoinAlgo, PhysicalPlan, Predicate, Query};
 use reopt_storage::batch::{take_u32_buffer, ColumnBatch, BATCH_SIZE};
@@ -72,13 +71,6 @@ pub struct ExecOpts {
     /// the fully serial executor. Results are bit-identical at every
     /// setting (see the module docs).
     pub threads: usize,
-    /// Vectorized columnar execution of the hot operators (scan filters,
-    /// hash-join build/probe, aggregation). `None` (the default) resolves
-    /// via the `REOPT_COLUMNAR` environment variable — unset or anything
-    /// but `0`/`false`/`off` means **on**; `Some(b)` forces it. Both
-    /// engines are bit-identical (see the module docs), so the knob only
-    /// moves wall-clock. Composes freely with [`ExecOpts::threads`].
-    pub columnar: Option<bool>,
     /// Span recorder threaded through the operator recursion. The default
     /// (disabled) tracer is a true no-op — no clock reads, no allocation —
     /// and recording can never influence plan choice or row output, so the
@@ -91,14 +83,13 @@ impl Default for ExecOpts {
         ExecOpts {
             max_intermediate_rows: 100_000_000,
             threads: 0,
-            columnar: None,
             tracer: Tracer::disabled(),
         }
     }
 }
 
 impl ExecOpts {
-    /// Default options pinned to one thread — yesterday's serial executor.
+    /// Default options pinned to one thread: no worker is ever spawned.
     pub fn serial() -> Self {
         ExecOpts {
             threads: 1,
@@ -114,14 +105,6 @@ impl ExecOpts {
         }
     }
 
-    /// Default options with the columnar engine explicitly on or off.
-    pub fn with_columnar(columnar: bool) -> Self {
-        ExecOpts {
-            columnar: Some(columnar),
-            ..Default::default()
-        }
-    }
-
     /// The worker count this executor will actually use: `threads` if set,
     /// else `REOPT_THREADS`, else `std::thread::available_parallelism()`.
     pub fn effective_threads(&self) -> usize {
@@ -130,44 +113,29 @@ impl ExecOpts {
         }
         default_threads()
     }
-
-    /// Whether this executor will run the columnar engine: `columnar` if
-    /// set, else the `REOPT_COLUMNAR` environment default.
-    pub fn effective_columnar(&self) -> bool {
-        self.columnar.unwrap_or_else(default_columnar)
-    }
 }
 
 /// The auto-resolved thread count used when [`ExecOpts::threads`] is 0:
 /// the `REOPT_THREADS` environment variable if set and ≥ 1, otherwise the
 /// machine's available parallelism (1 if that cannot be determined).
+/// Resolved once per process — an executor is built per sample dry run,
+/// and the probe costs microseconds.
 pub fn default_threads() -> usize {
-    std::env::var("REOPT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("REOPT_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&t| t >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
-/// The auto-resolved columnar setting used when [`ExecOpts::columnar`] is
-/// `None`: off when `REOPT_COLUMNAR` is `0`, `false`, or `off`
-/// (case-insensitive), on otherwise — including when the variable is
-/// unset.
-pub fn default_columnar() -> bool {
-    match std::env::var("REOPT_COLUMNAR") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    }
-}
-
-/// Result of [`Executor::run_traced`]: the join result plus the observed
+/// Result of [`Executor::run_pipeline`]: the join result plus the observed
 /// cardinality of every plan node — what the sampling validator reads off
 /// a "dry run" over the sample tables.
 #[derive(Debug, Clone)]
@@ -183,7 +151,7 @@ pub struct TracedRun {
 }
 
 /// A cross-run store of executed subtree results, consulted by
-/// [`Executor::run_traced_cached`].
+/// [`Executor::run_pipeline`].
 ///
 /// The executor asks the cache for a *canonical fingerprint* of each plan
 /// node (the implementor decides what "same subtree" means — e.g. relation
@@ -232,13 +200,8 @@ pub struct QueryOutput {
 pub struct Executor<'a> {
     db: &'a Database,
     opts: ExecOpts,
-    /// [`ExecOpts::effective_threads`] resolved once at construction —
-    /// the auto setting reads an environment variable, which must not
-    /// land on the per-operator hot path.
+    /// [`ExecOpts::effective_threads`] resolved at construction.
     threads: usize,
-    /// [`ExecOpts::effective_columnar`] resolved once at construction,
-    /// for the same reason.
-    columnar: bool,
 }
 
 /// Convenience: execute `plan` for `query` against `db` with default options.
@@ -260,81 +223,51 @@ impl<'a> Executor<'a> {
     /// Executor with explicit options.
     pub fn with_opts(db: &'a Database, opts: ExecOpts) -> Self {
         let threads = opts.effective_threads();
-        let columnar = opts.effective_columnar();
-        Executor {
-            db,
-            opts,
-            threads,
-            columnar,
-        }
+        Executor { db, opts, threads }
     }
 
     /// Execute the full query: join pipeline plus optional aggregation.
     pub fn run(&self, query: &Query, plan: &PhysicalPlan) -> Result<QueryOutput> {
         let start = reopt_common::Stopwatch::start();
-        let mut state = ExecState::new(false, self.opts.tracer.clone());
-        let rows = self.exec_node(query, plan, &mut state)?;
+        let TracedRun {
+            rows, mut metrics, ..
+        } = self.run_pipeline(query, plan, None)?;
         let agg = match &query.aggregate {
             Some(spec) => {
                 let mut span = self.opts.tracer.span(names::EXEC_AGGREGATE);
-                let agg = aggregate_opts(
-                    self.db,
-                    query,
-                    &rows,
-                    spec,
-                    self.columnar,
-                    &mut state.metrics,
-                )?;
+                let agg = aggregate(self.db, query, &rows, spec, &mut metrics)?;
                 span.attr_u64("groups", agg.num_groups() as u64);
                 Some(agg)
             }
             None => None,
         };
-        state.metrics.elapsed = start.elapsed();
+        metrics.elapsed = start.elapsed();
         Ok(QueryOutput {
             join_rows: rows.len() as u64,
             agg,
-            metrics: state.metrics,
+            metrics,
         })
     }
 
-    /// Execute the join pipeline only, returning the row set.
-    pub fn run_rowset(&self, query: &Query, plan: &PhysicalPlan) -> Result<(RowSet, ExecMetrics)> {
-        let start = reopt_common::Stopwatch::start();
-        let mut state = ExecState::new(false, self.opts.tracer.clone());
-        let rows = self.exec_node(query, plan, &mut state)?;
-        state.metrics.elapsed = start.elapsed();
-        Ok((rows, state.metrics))
-    }
-
-    /// Execute the join pipeline and record every node's output
-    /// cardinality — the sampling validator's entry point.
-    pub fn run_traced(&self, query: &Query, plan: &PhysicalPlan) -> Result<TracedRun> {
-        let start = reopt_common::Stopwatch::start();
-        let mut state = ExecState::new(true, self.opts.tracer.clone());
-        let rows = self.exec_node(query, plan, &mut state)?;
-        state.metrics.elapsed = start.elapsed();
-        Ok(TracedRun {
-            rows,
-            node_cards: state.trace,
-            metrics: state.metrics,
-        })
-    }
-
-    /// Like [`Executor::run_traced`], but skipping every subtree the
-    /// `cache` already holds — the incremental dry-run of cross-round
-    /// re-optimization. Freshly executed subtrees are stored back, so
-    /// successive runs over structurally overlapping plans only pay for
-    /// what changed.
-    pub fn run_traced_cached(
+    /// Execute the join pipeline, recording every node's output
+    /// cardinality. With a `cache`, every subtree it already holds is
+    /// skipped and freshly executed subtrees are stored back — the
+    /// incremental dry run of cross-round re-optimization and the splice
+    /// of mid-query resumption — so successive runs over structurally
+    /// overlapping plans only pay for what changed.
+    pub fn run_pipeline(
         &self,
         query: &Query,
         plan: &PhysicalPlan,
-        cache: &mut dyn SubtreeCache,
+        cache: Option<&mut dyn SubtreeCache>,
     ) -> Result<TracedRun> {
         let start = reopt_common::Stopwatch::start();
-        let mut state = ExecState::new(true, self.opts.tracer.clone());
-        state.cache = Some(cache);
+        let mut state = ExecState {
+            metrics: ExecMetrics::default(),
+            trace: Vec::new(),
+            cache,
+            tracer: self.opts.tracer.clone(),
+        };
         let rows = self.exec_node(query, plan, &mut state)?;
         state.metrics.elapsed = start.elapsed();
         Ok(TracedRun {
@@ -387,11 +320,11 @@ impl<'a> Executor<'a> {
         }
         let child = state.tracer.under(&span);
         let saved = std::mem::replace(&mut state.tracer, child);
-        // Cached dry-run (only via `run_traced_cached`): a canonical-
-        // fingerprint hit replaces this node's own scan/join work with the
-        // stored rows. Children are *still* traversed — their (possibly
-        // cached) results feed the trace in current-plan order, which a
-        // hit from a differently shaped earlier subtree cannot provide.
+        // Cached run: a canonical-fingerprint hit replaces this node's own
+        // scan/join work with the stored rows. Children are *still*
+        // traversed — their (possibly cached) results feed the trace in
+        // current-plan order, which a hit from a differently shaped
+        // earlier subtree cannot provide.
         let fp = match state.cache.as_mut() {
             Some(c) => c.fingerprint(query, plan),
             None => None,
@@ -419,9 +352,7 @@ impl<'a> Executor<'a> {
                         self.exec_node_inner(query, right, state, false)?;
                     }
                 }
-                if state.tracing {
-                    state.trace.push((plan.relset(), count));
-                }
+                state.trace.push((plan.relset(), count));
                 // A replayed result must respect *this* run's cap, which
                 // may be tighter than the one in force when it was stored.
                 self.check_cap(count)?;
@@ -475,9 +406,7 @@ impl<'a> Executor<'a> {
             },
         };
         state.metrics.record_output(out.len() as u64);
-        if state.tracing {
-            state.trace.push((plan.relset(), out.len() as u64));
-        }
+        state.trace.push((plan.relset(), out.len() as u64));
         self.check_cap(out.len() as u64)?;
         if let Some(fp) = fp {
             let cache = state.cache.as_mut().ok_or_else(cache_vanished)?;
@@ -512,18 +441,7 @@ impl<'a> Executor<'a> {
                 } else {
                     metrics.rows_scanned += n as u64;
                     let mut out = Vec::new();
-                    if self.columnar {
-                        columnar_filter_range(&compiled, 0, n as u32, &mut out, metrics);
-                    } else {
-                        'rows: for row in 0..n as u32 {
-                            for p in &compiled {
-                                if !p.matches(row) {
-                                    continue 'rows;
-                                }
-                            }
-                            out.push(row);
-                        }
-                    }
+                    filter_range(&compiled, 0, n as u32, &mut out, metrics);
                     out
                 }
             }
@@ -572,7 +490,10 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    fn split_keys(keys: &[(ColRef, ColRef)], left: &RowSet) -> (Vec<ColRef>, Vec<ColRef>) {
+    pub(crate) fn split_keys(
+        keys: &[(ColRef, ColRef)],
+        left: &RowSet,
+    ) -> (Vec<ColRef>, Vec<ColRef>) {
         // Plan keys are (left-input column, right-input column) by
         // construction, but be robust to orientation.
         let lset = left.relset();
@@ -608,19 +529,18 @@ impl<'a> Executor<'a> {
         let threads = self.threads;
         let pairs = if threads > 1 && left.len() + right.len() >= PARALLEL_MIN_ROWS {
             self.hash_join_partitioned(&lkeys, &rkeys, threads, metrics)?
-        } else if self.columnar {
-            self.hash_join_packed(&lkeys, &rkeys, metrics)?
         } else {
-            self.hash_join_serial(&lkeys, &rkeys)?
+            self.hash_join_packed(&lkeys, &rkeys, metrics)?
         };
         RowSet::combine(left, right, &pairs)
     }
 
-    /// Columnar serial hash join: one [`PackedTable`] over the build side
-    /// (no per-key row vectors, no per-row allocation), probed in
-    /// ascending left-row order. Bucket runs iterate in ascending
-    /// build-row order, so the emitted pair sequence is identical to
-    /// [`Executor::hash_join_serial`]'s.
+    /// Serial hash join: one [`PackedTable`] over the build side, probed
+    /// in ascending left-row order, so pairs come out in ascending
+    /// `(left, right)` lexicographic order. The intermediate-row cap is
+    /// checked after each probe row's emissions — overshoot is bounded by
+    /// one bucket, which is at most `right.len()` and therefore itself
+    /// already under the cap.
     fn hash_join_packed(
         &self,
         lkeys: &[Vec<i64>],
@@ -636,63 +556,6 @@ impl<'a> Executor<'a> {
         for i in 0..n {
             if table.probe_into(lkeys, i, &mut pairs) > 0 {
                 check_probe_cap(pairs.len() as u64, cap)?;
-            }
-        }
-        Ok(pairs)
-    }
-
-    /// Serial build + probe; emits pairs in ascending `(left, right)`
-    /// lexicographic order. The intermediate-row cap is checked after each
-    /// probe row's emissions — overshoot is bounded by one bucket, which is
-    /// at most `right.len()` and therefore itself already under the cap.
-    fn hash_join_serial(&self, lkeys: &[Vec<i64>], rkeys: &[Vec<i64>]) -> Result<Vec<(u32, u32)>> {
-        let cap = self.opts.max_intermediate_rows;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        if lkeys.len() == 1 {
-            // Fast path: single i64 key.
-            let mut table: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-            for (j, &v) in rkeys[0].iter().enumerate() {
-                if v != NULL_SENTINEL {
-                    table.entry(v).or_default().push(j as u32);
-                }
-            }
-            for (i, &v) in lkeys[0].iter().enumerate() {
-                if v == NULL_SENTINEL {
-                    continue;
-                }
-                if let Some(matches) = table.get(&v) {
-                    for &j in matches {
-                        pairs.push((i as u32, j));
-                    }
-                    check_probe_cap(pairs.len() as u64, cap)?;
-                }
-            }
-        } else {
-            let mut table: FxHashMap<Vec<i64>, Vec<u32>> = FxHashMap::default();
-            'rrows: for j in 0..rkeys[0].len() {
-                let mut k = Vec::with_capacity(rkeys.len());
-                for col in rkeys {
-                    if col[j] == NULL_SENTINEL {
-                        continue 'rrows;
-                    }
-                    k.push(col[j]);
-                }
-                table.entry(k).or_default().push(j as u32);
-            }
-            'lrows: for i in 0..lkeys[0].len() {
-                let mut k = Vec::with_capacity(lkeys.len());
-                for col in lkeys {
-                    if col[i] == NULL_SENTINEL {
-                        continue 'lrows;
-                    }
-                    k.push(col[i]);
-                }
-                if let Some(matches) = table.get(&k) {
-                    for &j in matches {
-                        pairs.push((i as u32, j));
-                    }
-                    check_probe_cap(pairs.len() as u64, cap)?;
-                }
             }
         }
         Ok(pairs)
@@ -738,44 +601,17 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Phase 1: per-partition build, one worker per partition.
-        let columnar = self.columnar;
-        let tables: Vec<PartitionTable<'_>> = std::thread::scope(|s| {
+        // Phase 1: per-partition build, one worker per partition. Each
+        // bucket lists ascending right rows, so a table over it probes in
+        // the serial table's order.
+        let tables: Vec<PackedTable<'_>> = std::thread::scope(|s| {
             let handles: Vec<_> = rbuckets
                 .iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        if columnar {
-                            // The bucket lists ascending right rows, so a
-                            // packed table over it probes in the same
-                            // order as the map-based builds below.
-                            PartitionTable::Packed(PackedTable::build(rkeys, Some(bucket)))
-                        } else if lkeys.len() == 1 {
-                            let mut t: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-                            for &j in bucket {
-                                t.entry(rkeys[0][j as usize]).or_default().push(j);
-                            }
-                            PartitionTable::Single(t)
-                        } else {
-                            let mut t: FxHashMap<Vec<i64>, Vec<u32>> = FxHashMap::default();
-                            for &j in bucket {
-                                let k = rkeys
-                                    .iter()
-                                    .map(|col| col[j as usize])
-                                    .collect::<Vec<i64>>();
-                                t.entry(k).or_default().push(j);
-                            }
-                            PartitionTable::Multi(t)
-                        }
-                    })
-                })
+                .map(|bucket| s.spawn(move || Ok(PackedTable::build(rkeys, Some(bucket)))))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| Error::internal("parallel join build worker panicked"))
-                })
+                .map(join_worker)
                 .collect::<Result<Vec<_>>>()
         })?;
 
@@ -790,47 +626,18 @@ impl<'a> Executor<'a> {
                     let end = (start + chunk).min(n);
                     let (tables, lpart, emitted) = (&tables, &lpart, &emitted);
                     s.spawn(move || -> Result<(Vec<(u32, u32)>, ExecMetrics)> {
-                        let mut local = ExecMetrics {
+                        let local = ExecMetrics {
                             parallel_workers: 1,
+                            batches_processed: ((end - start) as u64).div_ceil(BATCH_SIZE as u64),
+                            batch_rows: (end - start) as u64,
                             ..Default::default()
                         };
-                        if columnar {
-                            local.batches_processed +=
-                                ((end - start) as u64).div_ceil(BATCH_SIZE as u64);
-                            local.batch_rows += (end - start) as u64;
-                        }
                         let mut pairs: Vec<(u32, u32)> = Vec::new();
-                        let mut key = Vec::with_capacity(lkeys.len());
-                        for i in start..end {
-                            let p = lpart[i];
+                        for (i, &p) in (start..end).zip(&lpart[start..end]) {
                             if p == NO_PARTITION {
                                 continue;
                             }
-                            let emitted_here = match &tables[p as usize] {
-                                PartitionTable::Packed(t) => t.probe_into(lkeys, i, &mut pairs),
-                                PartitionTable::Single(t) => match t.get(&lkeys[0][i]) {
-                                    Some(matches) => {
-                                        for &j in matches {
-                                            pairs.push((i as u32, j));
-                                        }
-                                        matches.len() as u64
-                                    }
-                                    None => 0,
-                                },
-                                PartitionTable::Multi(t) => {
-                                    key.clear();
-                                    key.extend(lkeys.iter().map(|col| col[i]));
-                                    match t.get(&key) {
-                                        Some(matches) => {
-                                            for &j in matches {
-                                                pairs.push((i as u32, j));
-                                            }
-                                            matches.len() as u64
-                                        }
-                                        None => 0,
-                                    }
-                                }
-                            };
+                            let emitted_here = tables[p as usize].probe_into(lkeys, i, &mut pairs);
                             if emitted_here > 0 {
                                 // lint: relaxed-ok(fetch_add RMWs on one atomic are totally ordered, so the running total is exact regardless of interleaving; the cap check needs only the count, no other memory)
                                 let total = emitted.fetch_add(emitted_here, Ordering::Relaxed)
@@ -873,7 +680,6 @@ impl<'a> Executor<'a> {
         metrics: &mut ExecMetrics,
     ) -> Result<Vec<u32>> {
         let chunk = (n as usize).div_ceil(threads).max(1);
-        let columnar = self.columnar;
         let results: Vec<(Vec<u32>, ExecMetrics)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n as usize)
                 .step_by(chunk)
@@ -886,34 +692,14 @@ impl<'a> Executor<'a> {
                             ..Default::default()
                         };
                         let mut out = Vec::new();
-                        if columnar {
-                            columnar_filter_range(
-                                compiled,
-                                start as u32,
-                                end as u32,
-                                &mut out,
-                                &mut local,
-                            );
-                        } else {
-                            'rows: for row in start as u32..end as u32 {
-                                for p in compiled {
-                                    if !p.matches(row) {
-                                        continue 'rows;
-                                    }
-                                }
-                                out.push(row);
-                            }
-                        }
-                        (out, local)
+                        filter_range(compiled, start as u32, end as u32, &mut out, &mut local);
+                        Ok((out, local))
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| Error::internal("parallel scan worker panicked"))
-                })
+                .map(join_worker)
                 .collect::<Result<Vec<_>>>()
         })?;
         metrics.parallel_ops += 1;
@@ -1124,37 +910,28 @@ fn check_probe_cap(emitted: u64, cap: u64) -> Result<()> {
     Ok(())
 }
 
-/// One partition's build-side hash table: a [`PackedTable`] under the
-/// columnar engine, a map specialized for the hot single-i64-key case
-/// under the row engine.
-enum PartitionTable<'a> {
-    Packed(PackedTable<'a>),
-    Single(FxHashMap<i64, Vec<u32>>),
-    Multi(FxHashMap<Vec<i64>, Vec<u32>>),
-}
-
-/// The columnar engine's build-side hash table: build positions
-/// counting-sorted by key bucket into one contiguous `order` array
-/// (`starts[b]..starts[b+1]` is bucket `b`'s run). No per-key `Vec`, no
-/// allocation past three flat arrays, and a probe walks a contiguous run
-/// instead of chasing chain links — which matters exactly when keys have
-/// high multiplicity (the M^k join blow-ups).
+/// The build-side hash table: build rows counting-sorted by key bucket
+/// into one contiguous `order` array (`starts[b]..starts[b+1]` is bucket
+/// `b`'s run). No per-key `Vec`, no allocation past four flat arrays, and
+/// a probe walks a contiguous run instead of chasing chain links.
 ///
-/// The counting sort is stable over ascending positions, so every run
-/// iterates in ascending build-row order — the emission order of the row
-/// engine's map (which pushes rows into per-key vectors in ascending scan
-/// order). That makes packed probes bit-identical to map probes, serial
-/// and partitioned alike.
+/// The counting sort is stable over ascending rows, so every run iterates
+/// in ascending build-row order — the emission order of a map that pushes
+/// rows into per-key vectors in scan order ([`crate::reference`]). That
+/// makes packed probes bit-identical to map probes, serial and
+/// partitioned alike.
 struct PackedTable<'a> {
     /// Gathered build-side key columns (all rows, not just this table's).
     keys: &'a [Vec<i64>],
-    /// The build rows this table holds, ascending; `None` means all rows
-    /// `0..n` (the serial, unpartitioned case).
-    rows: Option<&'a [u32]>,
     /// Bucket run boundaries: bucket `b` owns `order[starts[b]..starts[b+1]]`.
     starts: Vec<u32>,
-    /// Build positions grouped by bucket, ascending within each run.
+    /// Build rows grouped by bucket, ascending within each run.
     order: Vec<u32>,
+    /// Per bucket: whether its run holds more than one distinct key. A
+    /// run with one key (the common case at load factor <= 1/2, and the
+    /// whole table in the all-equal M^k blow-ups) is matched with one key
+    /// compare and emitted with one bulk extend.
+    mixed: Vec<bool>,
     mask: u64,
 }
 
@@ -1162,16 +939,28 @@ struct PackedTable<'a> {
 const NO_BUCKET: u32 = u32::MAX;
 
 impl<'a> PackedTable<'a> {
-    fn build(keys: &'a [Vec<i64>], rows: Option<&'a [u32]>) -> Self {
+    /// Table over `rows` of the build side (ascending), or over all rows
+    /// `0..n` when `None` (the serial, unpartitioned case).
+    fn build(keys: &'a [Vec<i64>], rows: Option<&[u32]>) -> Self {
         let n = rows.map_or_else(|| keys.first().map_or(0, Vec::len), <[u32]>::len);
+        let row_at = |pos: usize| rows.map_or(pos as u32, |r| r[pos]);
         let buckets = (n.max(1) * 2).next_power_of_two();
         let mask = buckets as u64 - 1;
         let mut bucket_of = vec![NO_BUCKET; n];
         let mut starts = vec![0u32; buckets + 1];
-        for pos in 0..n {
-            let row = rows.map_or(pos as u32, |r| r[pos]);
+        // First row seen per bucket, to detect runs holding several keys.
+        let mut first = vec![0u32; buckets];
+        let mut mixed = vec![false; buckets];
+        for (pos, slot) in bucket_of.iter_mut().enumerate() {
+            let row = row_at(pos);
             if let Some(b) = key_bucket(keys, row as usize, mask) {
-                bucket_of[pos] = b as u32;
+                *slot = b as u32;
+                if starts[b + 1] == 0 {
+                    first[b] = row;
+                } else if !mixed[b] {
+                    let rep = first[b] as usize;
+                    mixed[b] = keys.iter().any(|col| col[rep] != col[row as usize]);
+                }
                 starts[b + 1] += 1;
             }
         }
@@ -1183,78 +972,59 @@ impl<'a> PackedTable<'a> {
         for (pos, &b) in bucket_of.iter().enumerate() {
             if b != NO_BUCKET {
                 let c = &mut cursor[b as usize];
-                order[*c as usize] = pos as u32;
+                order[*c as usize] = row_at(pos);
                 *c += 1;
             }
         }
         PackedTable {
             keys,
-            rows,
             starts,
             order,
+            mixed,
             mask,
         }
-    }
-
-    /// The bucket run for bucket `b`.
-    #[inline]
-    fn run(&self, b: usize) -> &[u32] {
-        &self.order[self.starts[b] as usize..self.starts[b + 1] as usize]
     }
 
     /// Emit `(i, j)` for every build row `j` whose key equals probe row
     /// `i`'s, in ascending `j` order; returns the number of pairs emitted.
     #[inline]
     fn probe_into(&self, lkeys: &[Vec<i64>], i: usize, pairs: &mut Vec<(u32, u32)>) -> u64 {
-        // Single-key equi-joins dominate: skip the per-column hash fold
-        // and the per-entry column iteration.
+        // Single-key equi-joins dominate: one column to hash and compare,
+        // without the per-column loops.
         if let ([bkey], [lcol]) = (self.keys, lkeys) {
             let lk = lcol[i];
-            if lk == NULL_SENTINEL {
-                return 0;
-            }
-            let mut h = FxHasher::default();
-            std::hash::Hasher::write_i64(&mut h, lk);
-            let b = (std::hash::Hasher::finish(&h) & self.mask) as usize;
-            let mut emitted = 0u64;
-            match self.rows {
-                None => {
-                    for &j in self.run(b) {
-                        if bkey[j as usize] == lk {
-                            pairs.push((i as u32, j));
-                            emitted += 1;
-                        }
-                    }
-                }
-                Some(rows) => {
-                    for &pos in self.run(b) {
-                        let j = rows[pos as usize];
-                        if bkey[j as usize] == lk {
-                            pairs.push((i as u32, j));
-                            emitted += 1;
-                        }
-                    }
-                }
-            }
-            return emitted;
+            return match key_bucket(std::slice::from_ref(lcol), i, self.mask) {
+                Some(b) => self.emit(b, i, pairs, |j| bkey[j as usize] == lk),
+                None => 0,
+            };
         }
-        let Some(b) = key_bucket(lkeys, i, self.mask) else {
-            return 0; // NULL probe key
-        };
-        let mut emitted = 0u64;
-        for &pos in self.run(b) {
-            let j = self.rows.map_or(pos, |r| r[pos as usize]);
-            if self
-                .keys
-                .iter()
-                .zip(lkeys)
-                .all(|(rc, lc)| rc[j as usize] == lc[i])
-            {
-                pairs.push((i as u32, j));
-                emitted += 1;
-            }
+        match key_bucket(lkeys, i, self.mask) {
+            Some(b) => self.emit(b, i, pairs, |j| {
+                let mut cols = self.keys.iter().zip(lkeys);
+                cols.all(|(rc, lc)| rc[j as usize] == lc[i])
+            }),
+            None => 0, // NULL probe key
         }
-        emitted
+    }
+
+    /// Emit bucket `b`'s rows that satisfy `matches` as partners of probe
+    /// row `i`. A single-key run is decided by its first row alone.
+    #[inline]
+    fn emit(
+        &self,
+        b: usize,
+        i: usize,
+        pairs: &mut Vec<(u32, u32)>,
+        matches: impl Fn(u32) -> bool,
+    ) -> u64 {
+        let run = &self.order[self.starts[b] as usize..self.starts[b + 1] as usize];
+        let before = pairs.len();
+        if self.mixed[b] {
+            pairs.extend(run.iter().filter(|&&j| matches(j)).map(|&j| (i as u32, j)));
+        } else if run.first().is_some_and(|&j| matches(j)) {
+            pairs.extend(run.iter().map(|&j| (i as u32, j)));
+        }
+        (pairs.len() - before) as u64
     }
 }
 
@@ -1277,8 +1047,8 @@ fn key_bucket(keys: &[Vec<i64>], row: usize, mask: u64) -> Option<usize> {
 /// Vectorized scan filter over rows `start..end`: batch windows of
 /// [`BATCH_SIZE`], the first predicate seeding a pooled selection vector
 /// and the rest refining it in place, appended to `out` in ascending row
-/// order — the row engine's emission order exactly.
-fn columnar_filter_range(
+/// order.
+fn filter_range(
     compiled: &[CompiledPred<'_>],
     start: u32,
     end: u32,
@@ -1366,7 +1136,6 @@ pub fn op_label(plan: &PhysicalPlan) -> &'static str {
 /// Mutable per-execution state threaded through the operator recursion.
 struct ExecState<'c> {
     metrics: ExecMetrics,
-    tracing: bool,
     trace: Vec<(RelSet, u64)>,
     cache: Option<&'c mut dyn SubtreeCache>,
     /// Current span-emission handle; `exec_node_inner` re-parents it around
@@ -1374,20 +1143,8 @@ struct ExecState<'c> {
     tracer: Tracer,
 }
 
-impl<'c> ExecState<'c> {
-    fn new(tracing: bool, tracer: Tracer) -> Self {
-        ExecState {
-            metrics: ExecMetrics::default(),
-            tracing,
-            trace: Vec::new(),
-            cache: None,
-            tracer,
-        }
-    }
-}
-
 /// A predicate with its constants encoded against the target table.
-struct CompiledPred<'a> {
+pub(crate) struct CompiledPred<'a> {
     col: ColId,
     op: CmpOp,
     /// Encoded first constant; `None` means "matches nothing" (dictionary
@@ -1403,7 +1160,7 @@ struct CompiledPred<'a> {
 
 impl CompiledPred<'_> {
     #[inline]
-    fn matches(&self, row: u32) -> bool {
+    pub(crate) fn matches(&self, row: u32) -> bool {
         let v = self.data[row as usize];
         if v == NULL_SENTINEL {
             return false; // SQL: comparisons with NULL are not true
@@ -1457,7 +1214,10 @@ impl CompiledPred<'_> {
     }
 }
 
-fn compile_predicates<'a>(table: &'a Table, preds: &[Predicate]) -> Result<Vec<CompiledPred<'a>>> {
+pub(crate) fn compile_predicates<'a>(
+    table: &'a Table,
+    preds: &[Predicate],
+) -> Result<Vec<CompiledPred<'a>>> {
     preds
         .iter()
         .map(|p| {
@@ -1965,15 +1725,15 @@ mod tests {
             keyrefs(),
         );
         let serial = Executor::with_opts(&db, ExecOpts::serial());
-        let (base_rows, base_metrics) = serial.run_rowset(&q, &p).unwrap();
-        let base_trace = serial.run_traced(&q, &p).unwrap().node_cards;
+        let base = serial.run_pipeline(&q, &p, None).unwrap();
+        let (base_rows, base_metrics) = (&base.rows, &base.metrics);
         assert!(!base_rows.is_empty(), "fixture join must be non-empty");
         for threads in [2, 4, 8] {
             let par = Executor::with_opts(&db, ExecOpts::with_threads(threads));
-            let (rows, metrics) = par.run_rowset(&q, &p).unwrap();
-            assert_rowsets_identical(&base_rows, &rows);
-            let traced = par.run_traced(&q, &p).unwrap();
-            assert_eq!(base_trace, traced.node_cards, "threads={threads}");
+            let traced = par.run_pipeline(&q, &p, None).unwrap();
+            let metrics = &traced.metrics;
+            assert_rowsets_identical(base_rows, &traced.rows);
+            assert_eq!(base.node_cards, traced.node_cards, "threads={threads}");
             // The comparable counters match serial exactly; only the
             // parallel bookkeeping differs.
             assert_eq!(metrics.rows_scanned, base_metrics.rows_scanned);
@@ -2076,9 +1836,10 @@ mod tests {
         assert_eq!(out.join_rows, 0);
     }
 
-    /// Regression for the structured worker-join path: a panicking worker
-    /// thread must surface as [`Error::Internal`], never unwind through
-    /// the scope (which would abort a serving process).
+    /// Regression for the structured worker-join path every parallel phase
+    /// (scan chunks, join build, join probe) goes through: a panicking
+    /// worker thread must surface as [`Error::Internal`], never unwind
+    /// through the scope (which would abort a serving process).
     #[test]
     fn worker_panic_becomes_internal_error() {
         let res: Result<()> = std::thread::scope(|scope| {
@@ -2091,12 +1852,12 @@ mod tests {
         }
     }
 
-    /// The columnar engine must be bit-identical to the row engine on
-    /// rowsets, traces, and the shared counters — across serial and
-    /// partition-parallel execution, for the operators the batch paths
-    /// touch (vectorized scans feed both join algorithms here).
+    /// The engine must be bit-identical to the row-at-a-time reference on
+    /// rowsets, and to itself on traces and the shared counters — across
+    /// serial and partition-parallel execution, for the operators the
+    /// batch paths touch (vectorized scans feed both join algorithms here).
     #[test]
-    fn columnar_execution_is_bit_identical_to_row_engine() {
+    fn engine_is_bit_identical_to_reference() {
         let db = big_pair_db(6000);
         let q = big_pair_query(&db);
         for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
@@ -2106,52 +1867,235 @@ mod tests {
                 scan(1, 1, AccessPath::SeqScan),
                 keyrefs(),
             );
+            let oracle = crate::reference::join_rows(&db, &q, &p).unwrap();
+            assert!(!oracle.is_empty(), "fixture join must be non-empty");
+            let serial = Executor::with_opts(&db, ExecOpts::serial())
+                .run_pipeline(&q, &p, None)
+                .unwrap();
             for threads in [1usize, 4] {
-                let row_exec = Executor::with_opts(
-                    &db,
-                    ExecOpts {
-                        threads,
-                        columnar: Some(false),
-                        ..Default::default()
-                    },
+                let run = Executor::with_opts(&db, ExecOpts::with_threads(threads))
+                    .run_pipeline(&q, &p, None)
+                    .unwrap();
+                assert_rowsets_identical(&oracle, &run.rows);
+                assert_eq!(
+                    serial.node_cards, run.node_cards,
+                    "{algo:?}/threads={threads}"
                 );
-                let col_exec = Executor::with_opts(
-                    &db,
-                    ExecOpts {
-                        threads,
-                        columnar: Some(true),
-                        ..Default::default()
-                    },
-                );
-                let (row_rows, row_m) = row_exec.run_rowset(&q, &p).unwrap();
-                let (col_rows, col_m) = col_exec.run_rowset(&q, &p).unwrap();
-                assert!(!row_rows.is_empty(), "fixture join must be non-empty");
-                assert_rowsets_identical(&row_rows, &col_rows);
-                let row_trace = row_exec.run_traced(&q, &p).unwrap().node_cards;
-                let col_trace = col_exec.run_traced(&q, &p).unwrap().node_cards;
-                assert_eq!(row_trace, col_trace, "{algo:?}/threads={threads}");
-                assert_eq!(row_m.rows_scanned, col_m.rows_scanned);
-                assert_eq!(row_m.rows_produced, col_m.rows_produced);
-                assert_eq!(row_m.peak_intermediate_rows, col_m.peak_intermediate_rows);
-                assert_eq!(row_m.batches_processed, 0, "row engine must not batch");
-                assert!(
-                    col_m.batches_processed > 0,
-                    "{algo:?}/threads={threads}: columnar path not taken"
-                );
+                assert_eq!(serial.metrics.rows_scanned, run.metrics.rows_scanned);
+                assert_eq!(serial.metrics.rows_produced, run.metrics.rows_produced);
+                assert!(run.metrics.batches_processed > 0);
             }
         }
     }
 
+    /// The packed probe's two paths, directly: a run holding one key is
+    /// decided by its first row (match → whole run, mismatch → nothing); a
+    /// run holding several keys is filtered row by row — single- and
+    /// multi-column keys alike.
     #[test]
-    fn columnar_knob_resolution() {
-        assert!(ExecOpts::default().columnar.is_none());
-        assert!(ExecOpts::with_columnar(true).effective_columnar());
-        assert!(!ExecOpts::with_columnar(false).effective_columnar());
-        // The explicit setting wins over the environment default.
-        let pinned = ExecOpts {
-            columnar: Some(false),
-            ..Default::default()
+    fn packed_probe_handles_shared_buckets_and_partial_matches() {
+        // One Fx round is a multiply by an odd constant, so single keys
+        // congruent mod 2^20 agree on every bucket bit a small table uses.
+        const STRIDE: i64 = 1 << 20;
+        let probe = |table: &PackedTable<'_>, lkeys: &[Vec<i64>]| {
+            let mut pairs = Vec::new();
+            let mut emitted = 0;
+            for i in 0..lkeys[0].len() {
+                emitted += table.probe_into(lkeys, i, &mut pairs);
+            }
+            assert_eq!(emitted, pairs.len() as u64);
+            pairs
         };
-        assert!(!pinned.effective_columnar());
+
+        let rkeys = vec![vec![5, 5 + STRIDE, 5, NULL_SENTINEL, 5 + STRIDE, 9]];
+        let table = PackedTable::build(&rkeys, None);
+        let shared = key_bucket(&rkeys, 0, table.mask).unwrap();
+        assert_eq!(key_bucket(&rkeys, 1, table.mask), Some(shared));
+        assert!(table.mixed[shared], "two keys in one run");
+        let lone = key_bucket(&rkeys, 5, table.mask).unwrap();
+        assert!(!table.mixed[lone]);
+        // Probe rows: both residents of the shared run, a third key that
+        // lands in it and matches nothing, a NULL, a key whose single-key
+        // run mismatches at the head, and one that matches it.
+        let lkeys = vec![vec![
+            5,
+            5 + STRIDE,
+            5 + 2 * STRIDE,
+            NULL_SENTINEL,
+            9 + STRIDE,
+            9,
+        ]];
+        assert_eq!(
+            probe(&table, &lkeys),
+            vec![(0, 0), (0, 2), (1, 1), (1, 4), (5, 5)]
+        );
+        // The same table over a partition's row subset emits row ids, not
+        // positions.
+        let part = PackedTable::build(&rkeys, Some(&[1, 2, 4]));
+        assert_eq!(probe(&part, &lkeys), vec![(0, 2), (1, 1), (1, 4)]);
+
+        // Two-column keys: find a second value colliding with (1, 0).
+        let mask = PackedTable::build(&[vec![0; 4], vec![0; 4]], None).mask;
+        let target = key_bucket(&[vec![1], vec![0]], 0, mask).unwrap();
+        let twin = (1..)
+            .find(|&v| key_bucket(&[vec![1], vec![v]], 0, mask) == Some(target))
+            .unwrap();
+        let rkeys = vec![vec![1, 1, 1, NULL_SENTINEL], vec![0, twin, 0, 0]];
+        let table = PackedTable::build(&rkeys, None);
+        assert!(table.mixed[target]);
+        // (1, 0) matches rows 0 and 2; (1, twin) only row 1 — a partial
+        // match on the first column must not leak; NULL in either column
+        // joins nothing.
+        let lkeys = vec![
+            vec![1, 1, 1, NULL_SENTINEL],
+            vec![0, twin, NULL_SENTINEL, 0],
+        ];
+        assert_eq!(probe(&table, &lkeys), vec![(0, 0), (0, 2), (1, 1)]);
+    }
+
+    /// Two tables whose key columns are given verbatim; column `v` of each
+    /// is a second join key.
+    fn keyed_pair_db(left: [Vec<i64>; 2], right: [Vec<i64>; 2]) -> Database {
+        let mut db = Database::new();
+        for (name, [k, v]) in [("kl", left), ("kr", right)] {
+            db.add_table_with(|id| {
+                let schema = TableSchema::new(vec![
+                    ColumnDef::new("k", LogicalType::Int),
+                    ColumnDef::new("v", LogicalType::Int),
+                ])?;
+                let mut t = Table::new(
+                    id,
+                    name,
+                    schema,
+                    vec![
+                        Column::from_i64(LogicalType::Int, k),
+                        Column::from_i64(LogicalType::Int, v),
+                    ],
+                )?;
+                t.create_index(ColId::new(0))?;
+                Ok(t)
+            })
+            .unwrap();
+        }
+        db
+    }
+
+    /// The join shapes the probe fast path must get right end to end —
+    /// distinct keys sharing a bucket, multi-key joins with partial
+    /// matches, NULL keys on both sides — serial and partitioned, for
+    /// every join algorithm, against the reference.
+    #[test]
+    fn shared_bucket_partial_match_and_null_joins_match_reference() {
+        let n = 3000i64;
+        let key = |i: i64, nulls: i64, keys: i64| {
+            if i % nulls == 0 {
+                NULL_SENTINEL
+            } else {
+                // Odd rows take the bucket-sharing twin of an even row's key.
+                i % keys + (i % 2) * (1 << 20)
+            }
+        };
+        let db = keyed_pair_db(
+            [
+                (0..n).map(|i| key(i, 97, 50)).collect(),
+                (0..n)
+                    .map(|i| if i % 89 == 0 { NULL_SENTINEL } else { i % 3 })
+                    .collect(),
+            ],
+            [
+                (0..n).map(|j| key(j, 83, 64)).collect(),
+                (0..n)
+                    .map(|j| if j % 71 == 0 { NULL_SENTINEL } else { j % 2 })
+                    .collect(),
+            ],
+        );
+        let col = |rel: u32, col: u32| ColRef::new(RelId::new(rel), ColId::new(col));
+        for keys in [
+            vec![(col(0, 0), col(1, 0))],
+            vec![(col(0, 0), col(1, 0)), (col(0, 1), col(1, 1))],
+        ] {
+            let mut qb = QueryBuilder::new();
+            let a = qb.add_relation(db.table_id("kl").unwrap());
+            let b = qb.add_relation(db.table_id("kr").unwrap());
+            for (l, r) in &keys {
+                qb.add_join(ColRef::new(a, l.col), ColRef::new(b, r.col));
+            }
+            let q = qb.build();
+            for algo in [
+                JoinAlgo::Hash,
+                JoinAlgo::Merge,
+                JoinAlgo::NestedLoop,
+                JoinAlgo::IndexNested,
+            ] {
+                let p = join(
+                    algo,
+                    scan(0, 0, AccessPath::SeqScan),
+                    scan(1, 1, AccessPath::SeqScan),
+                    keys.clone(),
+                );
+                let oracle = crate::reference::join_rows(&db, &q, &p).unwrap();
+                assert!(!oracle.is_empty() && oracle.len() < (n * n) as usize / 50);
+                for threads in [1usize, 4] {
+                    let run = Executor::with_opts(&db, ExecOpts::with_threads(threads))
+                        .run_pipeline(&q, &p, None)
+                        .unwrap();
+                    assert_rowsets_identical(&oracle, &run.rows);
+                    if algo == JoinAlgo::Hash {
+                        // 3000 + 3000 inputs cross PARALLEL_MIN_ROWS.
+                        assert_eq!(run.metrics.parallel_ops > 0, threads > 1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 24⁴ all-equal chain (the OTT's M^k blow-up): every bucket run is
+    /// one key wide and as long as the build side — the bulk-extend path —
+    /// and the last join (13 824 + 24 input rows) runs partitioned.
+    #[test]
+    fn all_equal_chain_matches_reference() {
+        let mut db = Database::new();
+        for t in 0..4 {
+            db.add_table_with(|id| {
+                let schema = TableSchema::new(vec![ColumnDef::new("k", LogicalType::Int)])?;
+                Table::new(
+                    id,
+                    format!("c{t}"),
+                    schema,
+                    vec![Column::from_i64(LogicalType::Int, vec![7; 24])],
+                )
+            })
+            .unwrap();
+        }
+        let mut qb = QueryBuilder::new();
+        let rels: Vec<RelId> = (0..4).map(|t| qb.add_relation(TableId::new(t))).collect();
+        for w in rels.windows(2) {
+            qb.add_join(
+                ColRef::new(w[0], ColId::new(0)),
+                ColRef::new(w[1], ColId::new(0)),
+            );
+        }
+        let q = qb.build();
+        let mut p = scan(0, 0, AccessPath::SeqScan);
+        for t in 1..4 {
+            p = join(
+                JoinAlgo::Hash,
+                p,
+                scan(t, t, AccessPath::SeqScan),
+                vec![(
+                    ColRef::new(RelId::new(t - 1), ColId::new(0)),
+                    ColRef::new(RelId::new(t), ColId::new(0)),
+                )],
+            );
+        }
+        let oracle = crate::reference::join_rows(&db, &q, &p).unwrap();
+        assert_eq!(oracle.len(), 24usize.pow(4));
+        for threads in [1usize, 4] {
+            let run = Executor::with_opts(&db, ExecOpts::with_threads(threads))
+                .run_pipeline(&q, &p, None)
+                .unwrap();
+            assert_rowsets_identical(&oracle, &run.rows);
+            assert_eq!(run.metrics.parallel_ops > 0, threads > 1);
+        }
     }
 }

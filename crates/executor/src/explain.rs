@@ -19,7 +19,7 @@ use reopt_telemetry::{names, Tracer};
 /// Node identity is the covered relation set, which is unique within one
 /// plan, so the trace can be joined back onto the tree.
 pub fn explain_analyze(db: &Database, query: &Query, plan: &PhysicalPlan) -> Result<String> {
-    let traced = Executor::new(db).run_traced(query, plan)?;
+    let traced = Executor::new(db).run_pipeline(query, plan, None)?;
     let mut actual: FxHashMap<RelSet, u64> = FxHashMap::default();
     for (set, rows) in &traced.node_cards {
         actual.insert(*set, *rows);
@@ -64,7 +64,7 @@ pub fn explain_analyze_traced(db: &Database, query: &Query, plan: &PhysicalPlan)
             ..ExecOpts::default()
         },
     );
-    let traced = exec.run_traced(query, plan)?;
+    let traced = exec.run_pipeline(query, plan, None)?;
     let trace = tracer.finish();
     let mut actual: FxHashMap<RelSet, u64> = FxHashMap::default();
     for (set, rows) in &traced.node_cards {
@@ -270,14 +270,8 @@ mod tests {
     fn batch_counters_follow_engine() {
         let db = db();
         let s = explain_analyze(&db, &query(), &plan(250.0)).unwrap();
-        // `explain_analyze` uses the default executor, so the header
-        // follows the ambient REOPT_COLUMNAR knob.
-        if crate::exec::default_columnar() {
-            assert!(s.contains("Columnar:"), "{s}");
-            assert!(s.contains("rows/batch avg"), "{s}");
-        } else {
-            assert!(!s.contains("Columnar:"), "{s}");
-        }
+        assert!(s.contains("Columnar:"), "{s}");
+        assert!(s.contains("rows/batch avg"), "{s}");
     }
 
     #[test]

@@ -17,19 +17,22 @@
 //! Sequential scans and hash joins execute partition-parallel under
 //! [`exec::ExecOpts::threads`], with results bit-identical to serial
 //! execution (see the [`exec`] module docs for the determinism argument).
+//! [`reference`] is the row-at-a-time oracle the differential tests compare
+//! the engine against.
 
 pub mod agg;
 pub mod checkpoint;
 pub mod exec;
 pub mod explain;
 pub mod metrics;
+pub mod reference;
 pub mod rowset;
 
-pub use agg::{aggregate_opts, AggOutput};
+pub use agg::{aggregate, AggOutput};
 pub use checkpoint::{CheckpointStore, ExecStep};
 pub use exec::{
-    default_columnar, default_threads, execute_plan, execute_query, ExecOpts, Executor,
-    QueryOutput, SubtreeCache, TracedRun,
+    default_threads, execute_plan, execute_query, ExecOpts, Executor, QueryOutput, SubtreeCache,
+    TracedRun,
 };
 pub use explain::explain_analyze;
 pub use metrics::ExecMetrics;

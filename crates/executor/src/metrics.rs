@@ -18,8 +18,8 @@ pub struct ExecMetrics {
     pub parallel_ops: u64,
     /// Worker tasks spawned by partition-parallel operators.
     pub parallel_workers: u64,
-    /// Column batches evaluated by the vectorized engine (0 on a pure
-    /// row-engine run).
+    /// Column batches evaluated by the vectorized operators (0 when a
+    /// plan runs index scans and index-nested joins only).
     pub batches_processed: u64,
     /// Input rows covered by those batches; `batch_rows /
     /// batches_processed` is the average batch fill.

@@ -2,17 +2,17 @@
 //!
 //! Round i+1 of the re-optimization loop validates a plan that typically
 //! shares most of its subtrees with the plans of rounds 1..i — the loop's
-//! transformations are local or reuse whole join groups. [`SampleRunCache`]
-//! remembers every executed subtree's sample row set, keyed by a
-//! *canonical* fingerprint ([`subtree_fingerprint`]): the covered relation
-//! set, the local predicates applied to those relations, and the set of
-//! equi-join keys applied anywhere inside the subtree. The fingerprint is
-//! deliberately independent of join order and physical operators — a hash
-//! join (A ⋈ B) ⋈ C and a merge join A ⋈ (B ⋈ C) produce the same logical
-//! rows over the samples, so either one can stand in for the other. (The
-//! executor still walks a hit node's children so the validation trace
-//! follows the round's own plan shape; only the per-node scan/join work is
-//! skipped.)
+//! transformations are local or reuse whole join groups.
+//! [`SharedSampleRunCache`] remembers every executed subtree's sample row
+//! set, keyed by a *canonical* fingerprint ([`subtree_fingerprint`]): the
+//! covered relation set, the local predicates applied to those relations,
+//! and the set of equi-join keys applied anywhere inside the subtree. The
+//! fingerprint is deliberately independent of join order and physical
+//! operators — a hash join (A ⋈ B) ⋈ C and a merge join A ⋈ (B ⋈ C)
+//! produce the same logical rows over the samples, so either one can stand
+//! in for the other. (The executor still walks a hit node's children so
+//! the validation trace follows the round's own plan shape; only the
+//! per-node scan/join work is skipped.)
 //!
 //! The cache additionally records the full-database estimate derived for
 //! each validated [`RelSet`], so an already-validated set is never
@@ -22,11 +22,12 @@
 //! relation occurrence, which makes it safe to share one cache across
 //! *different queries* of one database: two subtrees hash alike only when
 //! they cover the same tables with the same predicates and join keys, in
-//! which case their sample row sets are identical. The serving layer
-//! exploits this through [`SharedSampleRunCache`], a clonable, thread-safe
-//! handle over one cache that concurrent sessions consult during cold
-//! misses — a 2-way join validated for one query template never re-runs
-//! for another template that embeds the same subtree.
+//! which case their sample row sets are identical. The cache is a
+//! clonable, thread-safe handle: a single re-optimization run uses a fresh
+//! one (an uncontended lock per map operation), while the serving layer
+//! hands every session a clone of one cache — a 2-way join validated for
+//! one query template never re-runs for another template that embeds the
+//! same subtree.
 //!
 //! A cache is only meaningful for one ([`crate::SampleStore`],
 //! [`crate::ValidationOpts`]) pair — `min_rows` is baked into the
@@ -44,215 +45,31 @@ use reopt_storage::{DataVersion, Value};
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Cross-round sample dry-run cache (see the module docs).
-///
-/// Results are keyed by `(relation set, fingerprint, data version)`:
-/// within one (query, samples, opts) contract the fingerprint is itself a
-/// function of the relation set, so the composite key makes a cross-set
-/// hash collision — which would silently replay the wrong rows —
-/// structurally impossible. The [`DataVersion`] component (set from the
-/// sample store's [`crate::SampleStore::data_version`] before use) makes a
-/// cross-version hit equally impossible: rows dry-run before an ingest can
-/// never answer a lookup issued after it.
-#[derive(Debug, Clone, Default)]
-pub struct SampleRunCache {
+/// `(relation set, fingerprint, data version)`: within one (query,
+/// samples, opts) contract the fingerprint is itself a function of the
+/// relation set, so the composite key makes a cross-set hash collision —
+/// which would silently replay the wrong rows — structurally impossible.
+/// The [`DataVersion`] component makes a cross-version hit equally
+/// impossible: rows dry-run before an ingest can never answer a lookup
+/// issued after it.
+type Key = (RelSet, u64, DataVersion);
+
+/// What every handle of one [`SharedSampleRunCache`] shares.
+#[derive(Debug, Default)]
+struct CacheState {
     /// Subtree output rows over the sample database.
-    results: FxHashMap<(RelSet, u64, DataVersion), RowSet>,
+    results: FxHashMap<Key, RowSet>,
     /// Full-database estimates, keyed like `results` so one cache can
     /// serve several queries whose relation sets overlap but differ in
     /// predicates.
-    validated: FxHashMap<(RelSet, u64, DataVersion), f64>,
+    validated: FxHashMap<Key, f64>,
     /// Base tables covered by each fingerprint, recorded when the
     /// fingerprint is computed. Lets a partial sample refresh migrate
     /// entries whose tables were untouched instead of dropping the whole
-    /// cache (see [`SampleRunCache::migrate_version`]).
+    /// cache (see [`SharedSampleRunCache::migrate_version`]).
     tables_of: FxHashMap<u64, Vec<TableId>>,
-    /// The data version qualifying every lookup and store.
-    version: DataVersion,
     hits: usize,
     executed: usize,
-}
-
-impl SampleRunCache {
-    /// Empty cache (round 1 of a re-optimization run).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Subtree lookups answered from the cache, over the cache's lifetime.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Subtrees actually executed (= stored) over the cache's lifetime.
-    pub fn executed(&self) -> usize {
-        self.executed
-    }
-
-    /// Number of distinct subtree results held.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// The data version qualifying lookups and stores ([`DataVersion::ZERO`]
-    /// until [`SampleRunCache::set_data_version`] is called — matching a
-    /// never-ingested database).
-    pub fn data_version(&self) -> DataVersion {
-        self.version
-    }
-
-    /// Qualify all subsequent lookups and stores with `version`. Entries
-    /// recorded under other versions stay resident but become unreachable
-    /// until the version is set back — a stale replay is structurally
-    /// impossible rather than merely unlikely.
-    pub fn set_data_version(&mut self, version: DataVersion) {
-        self.version = version;
-    }
-
-    /// The full-database estimate previously derived for `(set, fp)` at
-    /// the current data version, if any.
-    pub fn validated_estimate(&self, set: RelSet, fp: u64) -> Option<f64> {
-        self.validated.get(&(set, fp, self.version)).copied()
-    }
-
-    /// Record the full-database estimate derived for `(set, fp)` at the
-    /// current data version.
-    pub fn record_validated(&mut self, set: RelSet, fp: u64, estimate: f64) {
-        self.validated.insert((set, fp, self.version), estimate);
-    }
-
-    /// Drop everything — e.g. when the sample store is rebuilt.
-    pub fn clear(&mut self) {
-        self.results.clear();
-        self.validated.clear();
-        self.tables_of.clear();
-    }
-
-    /// Remember which base tables `fp` covers (first sighting wins — the
-    /// fingerprint already folds the tables in, so later sightings agree).
-    fn note_tables(&mut self, fp: u64, query: &Query, plan: &PhysicalPlan) {
-        self.tables_of.entry(fp).or_insert_with(|| {
-            let mut tables: Vec<TableId> = plan
-                .relset()
-                .iter()
-                .filter_map(|rel| query.table_of(rel).ok())
-                .collect();
-            tables.sort_unstable();
-            tables.dedup();
-            tables
-        });
-    }
-
-    /// Surgical-refresh migration: re-key every entry recorded at `from`
-    /// to `to` when its fingerprint touches none of the `refreshed` base
-    /// tables, and drop the rest — their sample rows were redrawn.
-    /// Untouched tables' samples are pointer-identical across a
-    /// [`crate::SampleStore::refresh_tables`], so a migrated entry's rows
-    /// are exactly what a fresh dry-run at `to` would produce. Entries
-    /// whose fingerprint was never sighted via [`SubtreeCache::fingerprint`]
-    /// are dropped conservatively. Returns `(kept, dropped)`.
-    pub fn migrate_version(
-        &mut self,
-        from: DataVersion,
-        to: DataVersion,
-        refreshed: &[TableId],
-    ) -> (usize, usize) {
-        if from == to {
-            return (0, 0);
-        }
-        let survives = |tables_of: &FxHashMap<u64, Vec<TableId>>, fp: u64| {
-            tables_of
-                .get(&fp)
-                .is_some_and(|ts| ts.iter().all(|t| !refreshed.contains(t)))
-        };
-        let mut kept = 0usize;
-        let mut dropped = 0usize;
-        let result_keys: Vec<_> = self
-            .results
-            // lint: ordered-ok(re-keying is per-entry; visit order is irrelevant)
-            .keys()
-            .filter(|k| k.2 == from)
-            .copied()
-            .collect();
-        for key in result_keys {
-            if let Some(rows) = self.results.remove(&key) {
-                if survives(&self.tables_of, key.1) {
-                    self.results.insert((key.0, key.1, to), rows);
-                    kept += 1;
-                } else {
-                    dropped += 1;
-                }
-            }
-        }
-        let validated_keys: Vec<_> = self
-            .validated
-            // lint: ordered-ok(re-keying is per-entry; visit order is irrelevant)
-            .keys()
-            .filter(|k| k.2 == from)
-            .copied()
-            .collect();
-        for key in validated_keys {
-            if let Some(est) = self.validated.remove(&key) {
-                if survives(&self.tables_of, key.1) {
-                    self.validated.insert((key.0, key.1, to), est);
-                    kept += 1;
-                } else {
-                    dropped += 1;
-                }
-            }
-        }
-        (kept, dropped)
-    }
-}
-
-/// The caching interface plan validation needs: the executor-facing
-/// [`SubtreeCache`] plus the validated full-database estimates and the
-/// lifetime counters [`crate::validate_plan_cached`] reports from.
-/// Implemented by the single-owner [`SampleRunCache`] and by the
-/// thread-safe [`SharedSampleRunCache`].
-pub trait ValidationCache: SubtreeCache {
-    /// The full-database estimate previously derived for `(set, fp)`.
-    fn validated_estimate(&mut self, set: RelSet, fp: u64) -> Option<f64>;
-
-    /// Record the full-database estimate derived for `(set, fp)`.
-    fn record_validated(&mut self, set: RelSet, fp: u64, estimate: f64);
-
-    /// Lifetime (hits, executed) counters.
-    fn counters(&mut self) -> (usize, usize);
-
-    /// Qualify all subsequent lookups and stores with `version` (see
-    /// [`SampleRunCache::set_data_version`]).
-    fn set_data_version(&mut self, version: DataVersion);
-
-    /// The data version currently qualifying lookups and stores.
-    fn data_version(&mut self) -> DataVersion;
-}
-
-impl ValidationCache for SampleRunCache {
-    fn validated_estimate(&mut self, set: RelSet, fp: u64) -> Option<f64> {
-        SampleRunCache::validated_estimate(self, set, fp)
-    }
-
-    fn record_validated(&mut self, set: RelSet, fp: u64, estimate: f64) {
-        SampleRunCache::record_validated(self, set, fp, estimate);
-    }
-
-    fn counters(&mut self) -> (usize, usize) {
-        (self.hits, self.executed)
-    }
-
-    fn set_data_version(&mut self, version: DataVersion) {
-        SampleRunCache::set_data_version(self, version);
-    }
-
-    fn data_version(&mut self) -> DataVersion {
-        self.version
-    }
 }
 
 /// Point-in-time counters of a [`SharedSampleRunCache`].
@@ -268,33 +85,36 @@ pub struct SampleCacheStats {
     pub validated: usize,
 }
 
-/// A clonable, thread-safe handle over one [`SampleRunCache`], shared by
-/// every session of a query service: concurrent validations of *different*
-/// queries pool their dry-run work, so a subtree validated under one
-/// template is replayed — not re-executed — when another template embeds
+/// The sample dry-run cache (see the module docs): a clonable, thread-safe
+/// handle. Clones share one store, so concurrent validations of
+/// *different* queries pool their dry-run work — a subtree validated under
+/// one template is replayed, not re-executed, when another template embeds
 /// it (the fingerprint includes base tables, predicates and join keys, so
-/// a hit is exact; see the module docs).
+/// a hit is exact).
 ///
 /// Locking is per cache operation, not per validation: two sessions
 /// validating disjoint plans proceed mostly in parallel, serializing only
 /// on the map accesses. Under concurrency the per-validation hit/executed
 /// counters attributed to one run may include a neighbor's traffic; the
 /// lifetime totals in [`SampleCacheStats`] are always exact.
+///
 /// Each *handle* carries its own [`DataVersion`] (set via
-/// [`ValidationCache::set_data_version`], copied by `clone`): a session
-/// that was admitted under an older database snapshot keeps reading and
-/// writing entries qualified with *its* version even while the serving
-/// layer has already moved newer sessions forward — the shared map simply
-/// holds both generations, and neither can answer the other's lookups.
+/// [`SharedSampleRunCache::set_data_version`], copied by `clone`)
+/// qualifying every lookup and store it makes: a session that was admitted
+/// under an older database snapshot keeps reading and writing entries
+/// qualified with *its* version even while the serving layer has already
+/// moved newer sessions forward — the shared map simply holds both
+/// generations, and neither can answer the other's lookups.
 #[derive(Debug, Clone, Default)]
 pub struct SharedSampleRunCache {
-    inner: Arc<Mutex<SampleRunCache>>,
+    inner: Arc<Mutex<CacheState>>,
     /// Handle-local: deliberately outside the mutex (see above).
     version: DataVersion,
 }
 
 impl SharedSampleRunCache {
-    /// Fresh, empty shared cache.
+    /// Fresh, empty cache ([`DataVersion::ZERO`] until
+    /// [`Self::set_data_version`] — matching a never-ingested database).
     pub fn new() -> Self {
         Self::default()
     }
@@ -302,7 +122,7 @@ impl SharedSampleRunCache {
     /// All map operations are single map inserts/lookups, so a sharer
     /// that panicked mid-operation cannot leave the cache torn: recover
     /// the guard instead of propagating the poison.
-    fn lock(&self) -> MutexGuard<'_, SampleRunCache> {
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
         reopt_common::lock_unpoisoned(&self.inner)
     }
 
@@ -319,98 +139,140 @@ impl SharedSampleRunCache {
 
     /// Drop everything — e.g. when the sample store is rebuilt.
     pub fn clear(&self) {
-        self.lock().clear();
+        let mut g = self.lock();
+        g.results.clear();
+        g.validated.clear();
+        g.tables_of.clear();
     }
 
-    /// Surgical-refresh migration across all sharers — see
-    /// [`SampleRunCache::migrate_version`]. Returns `(kept, dropped)`.
+    /// Qualify this handle's subsequent lookups and stores with `version`.
+    /// Entries recorded under other versions stay resident but become
+    /// unreachable from it — a stale replay is structurally impossible
+    /// rather than merely unlikely.
+    pub fn set_data_version(&mut self, version: DataVersion) {
+        self.version = version;
+    }
+
+    /// The data version qualifying this handle's lookups and stores.
+    pub fn data_version(&self) -> DataVersion {
+        self.version
+    }
+
+    /// The full-database estimate previously derived for `(set, fp)` at
+    /// this handle's data version, if any.
+    pub fn validated_estimate(&self, set: RelSet, fp: u64) -> Option<f64> {
+        self.lock().validated.get(&(set, fp, self.version)).copied()
+    }
+
+    /// Record the full-database estimate derived for `(set, fp)` at this
+    /// handle's data version.
+    pub fn record_validated(&self, set: RelSet, fp: u64, estimate: f64) {
+        self.lock()
+            .validated
+            .insert((set, fp, self.version), estimate);
+    }
+
+    /// Surgical-refresh migration, across all sharers: re-key every entry
+    /// recorded at `from` to `to` when its fingerprint touches none of the
+    /// `refreshed` base tables, and drop the rest — their sample rows were
+    /// redrawn. Untouched tables' samples are pointer-identical across a
+    /// [`crate::SampleStore::refresh_tables`], so a migrated entry's rows
+    /// are exactly what a fresh dry-run at `to` would produce. Entries
+    /// whose fingerprint was never sighted via [`SubtreeCache::fingerprint`]
+    /// are dropped conservatively. Returns `(kept, dropped)`.
     pub fn migrate_version(
         &self,
         from: DataVersion,
         to: DataVersion,
         refreshed: &[TableId],
     ) -> (usize, usize) {
-        self.lock().migrate_version(from, to, refreshed)
+        if from == to {
+            return (0, 0);
+        }
+        let mut g = self.lock();
+        let CacheState {
+            results,
+            validated,
+            tables_of,
+            ..
+        } = &mut *g;
+        let survives = |fp: u64| {
+            tables_of
+                .get(&fp)
+                .is_some_and(|ts| ts.iter().all(|t| !refreshed.contains(t)))
+        };
+        let (k1, d1) = rekey(results, from, to, survives);
+        let (k2, d2) = rekey(validated, from, to, survives);
+        (k1 + k2, d1 + d2)
     }
+}
+
+/// Move `map`'s entries at version `from` to `to` when `survives(fp)`,
+/// dropping the others. Returns `(kept, dropped)`.
+fn rekey<V>(
+    map: &mut FxHashMap<Key, V>,
+    from: DataVersion,
+    to: DataVersion,
+    survives: impl Fn(u64) -> bool,
+) -> (usize, usize) {
+    let keys: Vec<Key> = map
+        // lint: ordered-ok(re-keying is per-entry; visit order is irrelevant)
+        .keys()
+        .filter(|k| k.2 == from)
+        .copied()
+        .collect();
+    let (mut kept, mut dropped) = (0, 0);
+    for key in keys {
+        if let Some(v) = map.remove(&key) {
+            if survives(key.1) {
+                map.insert((key.0, key.1, to), v);
+                kept += 1;
+            } else {
+                dropped += 1;
+            }
+        }
+    }
+    (kept, dropped)
 }
 
 impl SubtreeCache for SharedSampleRunCache {
     fn fingerprint(&mut self, query: &Query, plan: &PhysicalPlan) -> Option<u64> {
         let fp = subtree_fingerprint(query, plan);
         // Record the covered base tables so a partial sample refresh can
-        // tell which entries survive (see `migrate_version`).
-        self.lock().note_tables(fp, query, plan);
+        // tell which entries survive (see `migrate_version`). First
+        // sighting wins — the fingerprint already folds the tables in, so
+        // later sightings agree.
+        self.lock().tables_of.entry(fp).or_insert_with(|| {
+            let mut tables: Vec<TableId> = plan
+                .relset()
+                .iter()
+                .filter_map(|rel| query.table_of(rel).ok())
+                .collect();
+            tables.sort_unstable();
+            tables.dedup();
+            tables
+        });
         Some(fp)
     }
 
     fn lookup(&mut self, set: RelSet, fp: u64) -> Option<RowSet> {
         let mut g = self.lock();
-        g.set_data_version(self.version);
-        g.lookup(set, fp)
+        let rows = g.results.get(&(set, fp, self.version))?.clone();
+        g.hits += 1;
+        Some(rows)
     }
 
     fn peek_rows(&mut self, set: RelSet, fp: u64) -> Option<u64> {
         let mut g = self.lock();
-        g.set_data_version(self.version);
-        g.peek_rows(set, fp)
-    }
-
-    fn store(&mut self, set: RelSet, fp: u64, rows: &RowSet) {
-        let mut g = self.lock();
-        g.set_data_version(self.version);
-        g.store(set, fp, rows);
-    }
-}
-
-impl ValidationCache for SharedSampleRunCache {
-    fn validated_estimate(&mut self, set: RelSet, fp: u64) -> Option<f64> {
-        let mut g = self.lock();
-        g.set_data_version(self.version);
-        SampleRunCache::validated_estimate(&g, set, fp)
-    }
-
-    fn record_validated(&mut self, set: RelSet, fp: u64, estimate: f64) {
-        let mut g = self.lock();
-        g.set_data_version(self.version);
-        g.record_validated(set, fp, estimate);
-    }
-
-    fn counters(&mut self) -> (usize, usize) {
-        let g = self.lock();
-        (g.hits, g.executed)
-    }
-
-    fn set_data_version(&mut self, version: DataVersion) {
-        self.version = version;
-    }
-
-    fn data_version(&mut self) -> DataVersion {
-        self.version
-    }
-}
-
-impl SubtreeCache for SampleRunCache {
-    fn fingerprint(&mut self, query: &Query, plan: &PhysicalPlan) -> Option<u64> {
-        let fp = subtree_fingerprint(query, plan);
-        self.note_tables(fp, query, plan);
-        Some(fp)
-    }
-
-    fn lookup(&mut self, set: RelSet, fp: u64) -> Option<RowSet> {
-        let cached = self.results.get(&(set, fp, self.version))?;
-        self.hits += 1;
-        Some(cached.clone())
-    }
-
-    fn peek_rows(&mut self, set: RelSet, fp: u64) -> Option<u64> {
-        let n = self.results.get(&(set, fp, self.version))?.len() as u64;
-        self.hits += 1;
+        let n = g.results.get(&(set, fp, self.version))?.len() as u64;
+        g.hits += 1;
         Some(n)
     }
 
     fn store(&mut self, set: RelSet, fp: u64, rows: &RowSet) {
-        self.executed += 1;
-        self.results.insert((set, fp, self.version), rows.clone());
+        let mut g = self.lock();
+        g.executed += 1;
+        g.results.insert((set, fp, self.version), rows.clone());
     }
 }
 
@@ -418,8 +280,8 @@ impl SubtreeCache for SampleRunCache {
 /// occurrence's *base table*) + applied local predicates + applied join
 /// keys, insensitive to join order, operand orientation and physical
 /// operator choice. Including the tables makes the fingerprint meaningful
-/// across different queries over one database (see
-/// [`SharedSampleRunCache`]): relation occurrence `r0` of two unrelated
+/// across different queries over one database (see the module docs):
+/// relation occurrence `r0` of two unrelated
 /// queries may scan different tables, and must then hash differently.
 pub fn subtree_fingerprint(query: &Query, plan: &PhysicalPlan) -> u64 {
     let mut h = FxHasher::default();
@@ -642,8 +504,8 @@ mod tests {
         let shared = SharedSampleRunCache::new();
         let mut old_session = shared.clone();
         let mut new_session = shared.clone();
-        ValidationCache::set_data_version(&mut old_session, DataVersion::new(1));
-        ValidationCache::set_data_version(&mut new_session, DataVersion::new(2));
+        old_session.set_data_version(DataVersion::new(1));
+        new_session.set_data_version(DataVersion::new(2));
         let fp = old_session.fingerprint(&q, &p).unwrap();
         let set = p.relset();
         old_session.store(set, fp, &RowSet::single(RelId::new(0), vec![0, 1]));
@@ -666,7 +528,7 @@ mod tests {
         let p12 = join(JoinAlgo::Hash, scan(1), scan(2), 1, 2);
         let shared = SharedSampleRunCache::new();
         let mut h = shared.clone();
-        ValidationCache::set_data_version(&mut h, DataVersion::new(1));
+        h.set_data_version(DataVersion::new(1));
         let fp01 = h.fingerprint(&q, &p01).unwrap();
         let fp12 = h.fingerprint(&q, &p12).unwrap();
         h.store(p01.relset(), fp01, &RowSet::single(RelId::new(0), vec![0]));
@@ -678,14 +540,14 @@ mod tests {
             shared.migrate_version(DataVersion::new(1), DataVersion::new(2), &[TableId::new(2)]);
         assert_eq!((kept, dropped), (2, 2));
         let mut at2 = shared.clone();
-        ValidationCache::set_data_version(&mut at2, DataVersion::new(2));
+        at2.set_data_version(DataVersion::new(2));
         assert!(at2.lookup(p01.relset(), fp01).is_some());
         assert_eq!(at2.validated_estimate(p01.relset(), fp01), Some(10.0));
         assert!(at2.lookup(p12.relset(), fp12).is_none());
         assert!(at2.validated_estimate(p12.relset(), fp12).is_none());
         // Nothing is left behind at the old version either.
         let mut at1 = shared.clone();
-        ValidationCache::set_data_version(&mut at1, DataVersion::new(1));
+        at1.set_data_version(DataVersion::new(1));
         assert!(at1.lookup(p01.relset(), fp01).is_none());
         assert!(at1.lookup(p12.relset(), fp12).is_none());
     }
@@ -694,7 +556,8 @@ mod tests {
     fn migrate_version_drops_unsighted_fingerprints() {
         // An entry stored without ever passing through `fingerprint` has
         // no recorded table set and must be dropped conservatively.
-        let mut cache = SampleRunCache::new();
+        use reopt_executor::SubtreeCache as _;
+        let mut cache = SharedSampleRunCache::new();
         cache.set_data_version(DataVersion::new(1));
         let set = RelSet::single(RelId::new(0));
         cache.store(set, 0xdead, &RowSet::single(RelId::new(0), vec![0]));

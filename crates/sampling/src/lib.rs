@@ -2,8 +2,8 @@
 //! selectivity estimator (§2.1 of the paper), and plan validation — the
 //! `GetCardinalityEstimatesBySampling` step of Algorithm 1. The [`cache`]
 //! module adds cross-round dry-run caching for incremental
-//! re-optimization, plus a thread-safe shared cache
-//! ([`SharedSampleRunCache`]) that pools validated subtree estimates
+//! re-optimization: one clonable, thread-safe cache
+//! ([`SharedSampleRunCache`]) that also pools validated subtree estimates
 //! across the concurrent sessions of a query service.
 
 pub mod cache;
@@ -11,9 +11,7 @@ pub mod estimator;
 pub mod sampler;
 pub mod validator;
 
-pub use cache::{
-    subtree_fingerprint, SampleCacheStats, SampleRunCache, SharedSampleRunCache, ValidationCache,
-};
+pub use cache::{subtree_fingerprint, SampleCacheStats, SharedSampleRunCache};
 pub use estimator::{cardinality_estimate, scale_up, selectivity_estimate};
 pub use sampler::{SampleConfig, SampleStore};
 pub use validator::{validate_plan, validate_plan_cached, Validation, ValidationOpts};

@@ -9,14 +9,14 @@
 
 use std::time::Duration;
 
-use crate::cache::{SampleRunCache, ValidationCache};
+use crate::cache::SharedSampleRunCache;
 use crate::estimator::scale_up;
 use crate::sampler::SampleStore;
 use reopt_common::{FxHashMap, RelSet, Result};
-use reopt_executor::{ExecOpts, Executor, TracedRun};
+use reopt_executor::{ExecOpts, Executor, SubtreeCache};
 use reopt_optimizer::CardOverrides;
 use reopt_plan::{PhysicalPlan, Query};
-use reopt_telemetry::{names, Span, Tracer};
+use reopt_telemetry::{names, Tracer};
 
 /// Validation options.
 #[derive(Debug, Clone)]
@@ -40,12 +40,6 @@ pub struct ValidationOpts {
     /// it only buys wall-clock, i.e. more re-optimization rounds per
     /// second.
     pub threads: usize,
-    /// Columnar (batch-at-a-time) execution for the dry run. `None`
-    /// defers to [`reopt_executor::default_columnar`] (the
-    /// `REOPT_COLUMNAR` env knob, on by default); `Some(b)` pins the
-    /// engine. Like `threads`, the engines are bit-identical, so Δ and
-    /// the plan trajectory are invariant under this knob.
-    pub columnar: Option<bool>,
     /// Span recorder for the dry run (`sampling.dry_run` plus nested
     /// `exec.operator` spans). Disabled by default; recording never feeds
     /// back into Δ, so validation results are invariant under this knob.
@@ -59,7 +53,6 @@ impl Default for ValidationOpts {
             min_rows: 1.0,
             max_intermediate_rows: 50_000_000,
             threads: 0,
-            columnar: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -90,112 +83,81 @@ pub fn validate_plan(
     samples: &SampleStore,
     opts: &ValidationOpts,
 ) -> Result<Validation> {
-    let mut span = opts.tracer.span(names::SAMPLING_DRY_RUN);
-    let exec = Executor::with_opts(
-        samples.database(),
-        ExecOpts {
-            max_intermediate_rows: opts.max_intermediate_rows,
-            threads: opts.threads,
-            columnar: opts.columnar,
-            tracer: opts.tracer.under(&span),
-        },
-    );
-    let traced = exec.run_traced(query, plan)?;
-    let executed = traced.node_cards.len();
-    let v =
-        build_validation::<SampleRunCache>(query, plan, samples, opts, traced, 0, executed, None)?;
-    annotate_dry_run(&mut span, &v);
-    Ok(v)
-}
-
-/// Attach the validation outcome to its `sampling.dry_run` span.
-fn annotate_dry_run(span: &mut Span, v: &Validation) {
-    if span.is_recording() {
-        span.attr_u64("cache_hits", v.cache_hits as u64);
-        span.attr_u64("subtrees_executed", v.subtrees_executed as u64);
-        span.attr_u64("sample_rows", v.sample_rows_produced);
-        span.attr_u64("delta_len", v.delta.len() as u64);
-    }
+    dry_run(query, plan, samples, opts, None)
 }
 
 /// Like [`validate_plan`], but consulting (and refilling) a cross-round
-/// [`ValidationCache`] — the single-owner [`SampleRunCache`] or the
-/// thread-safe [`crate::SharedSampleRunCache`]: subtrees whose canonical
-/// fingerprint was executed before are replayed from the cache, and
-/// subtrees whose full-database estimate was already derived are never
-/// re-scaled. The cache must be used with one fixed (samples, opts) pair
-/// only — recorded estimates bake in `opts.min_rows`, so changing options
-/// requires a fresh cache (the intermediate-row cap is exempt: the
-/// executor re-checks it on every replay). Sharing one cache across
-/// *queries* of the same database is sound: entries are keyed by the
-/// table-aware canonical fingerprint.
-pub fn validate_plan_cached<C: ValidationCache>(
+/// [`SharedSampleRunCache`]: subtrees whose canonical fingerprint was
+/// executed before are replayed from the cache, and subtrees whose
+/// full-database estimate was already derived are never re-scaled. The
+/// cache must be used with one fixed (samples, opts) pair only — recorded
+/// estimates bake in `opts.min_rows`, so changing options requires a fresh
+/// cache (the intermediate-row cap is exempt: the executor re-checks it on
+/// every replay). Sharing one cache across *queries* of the same database
+/// is sound: entries are keyed by the table-aware canonical fingerprint.
+pub fn validate_plan_cached(
     query: &Query,
     plan: &PhysicalPlan,
     samples: &SampleStore,
     opts: &ValidationOpts,
-    cache: &mut C,
+    cache: &mut SharedSampleRunCache,
+) -> Result<Validation> {
+    dry_run(query, plan, samples, opts, Some(cache))
+}
+
+fn dry_run(
+    query: &Query,
+    plan: &PhysicalPlan,
+    samples: &SampleStore,
+    opts: &ValidationOpts,
+    mut cache: Option<&mut SharedSampleRunCache>,
 ) -> Result<Validation> {
     let mut span = opts.tracer.span(names::SAMPLING_DRY_RUN);
-    // Qualify every cache operation with the samples' data version: a
-    // dry-run recorded before an ingest is unreachable from lookups issued
-    // against samples drawn after it (and vice versa), so a stale replay
-    // is structurally impossible.
-    cache.set_data_version(samples.data_version());
     let exec = Executor::with_opts(
         samples.database(),
         ExecOpts {
             max_intermediate_rows: opts.max_intermediate_rows,
             threads: opts.threads,
-            columnar: opts.columnar,
             tracer: opts.tracer.under(&span),
         },
     );
-    let (hits_before, executed_before) = cache.counters();
-    let traced = exec.run_traced_cached(query, plan, cache)?;
-    let (hits_after, executed_after) = cache.counters();
-    // With a shared cache, concurrent sessions advance the counters too;
-    // saturate so a neighbor's clear() can't underflow the report.
-    let hits = hits_after.saturating_sub(hits_before);
-    let executed = executed_after.saturating_sub(executed_before);
-    let v = build_validation(
-        query,
-        plan,
-        samples,
-        opts,
-        traced,
-        hits,
-        executed,
-        Some(cache),
-    )?;
-    annotate_dry_run(&mut span, &v);
-    Ok(v)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_validation<C: ValidationCache>(
-    query: &Query,
-    plan: &PhysicalPlan,
-    samples: &SampleStore,
-    opts: &ValidationOpts,
-    traced: TracedRun,
-    cache_hits: usize,
-    subtrees_executed: usize,
-    mut cache: Option<&mut C>,
-) -> Result<Validation> {
     // Canonical fingerprint of each subtree, for estimate-cache keys. The
     // trace's relation sets are exactly the plan's node relsets, and
     // within one plan a relset identifies its subtree uniquely. Routed
     // through the cache's own `fingerprint` so it records each subtree's
     // base tables for surgical-refresh migration.
     let mut fps: FxHashMap<RelSet, u64> = FxHashMap::default();
-    if let Some(c) = cache.as_mut() {
+    let before = cache.as_mut().map(|c| {
+        // Qualify every cache operation with the samples' data version: a
+        // dry-run recorded before an ingest is unreachable from lookups
+        // issued against samples drawn after it (and vice versa), so a
+        // stale replay is structurally impossible.
+        c.set_data_version(samples.data_version());
         plan.visit(&mut |n| {
             if let Some(fp) = c.fingerprint(query, n) {
                 fps.insert(n.relset(), fp);
             }
         });
-    }
+        c.stats()
+    });
+    let traced = exec.run_pipeline(
+        query,
+        plan,
+        cache.as_deref_mut().map(|c| c as &mut dyn SubtreeCache),
+    )?;
+    let (cache_hits, subtrees_executed) = match (before, &cache) {
+        // With a shared cache, concurrent sessions advance the counters
+        // too; saturate so a neighbor's clear() can't underflow the report.
+        (Some(before), Some(c)) => {
+            let after = c.stats();
+            (
+                after.hits.saturating_sub(before.hits),
+                after.executed.saturating_sub(before.executed),
+            )
+        }
+        _ => (0, traced.node_cards.len()),
+    };
+
     let mut delta = CardOverrides::new();
     // Δ's entries describe the data state the samples were drawn from.
     delta.set_data_version(samples.data_version());
@@ -203,25 +165,29 @@ fn build_validation<C: ValidationCache>(
         if set.len() < 2 && !opts.validate_leaves {
             continue;
         }
-        let fp = fps.get(set).copied();
+        let cached = cache.as_deref().zip(fps.get(set).copied());
         // An already-validated subtree keeps its recorded estimate —
         // sampling is deterministic, so re-deriving it would produce the
         // same number; reusing guarantees it.
-        if let (Some(c), Some(fp)) = (cache.as_mut(), fp) {
-            if let Some(est) = c.validated_estimate(*set, fp) {
-                delta.insert(*set, est);
-                continue;
-            }
+        if let Some(est) = cached.and_then(|(c, fp)| c.validated_estimate(*set, fp)) {
+            delta.insert(*set, est);
+            continue;
         }
         let mut scale = 1.0;
         for rel in set.iter() {
             scale *= samples.scale_factor(query.table_of(rel)?)?;
         }
         let estimate = scale_up(*sample_rows, scale, opts.min_rows);
-        if let (Some(c), Some(fp)) = (cache.as_mut(), fp) {
+        if let Some((c, fp)) = cached {
             c.record_validated(*set, fp, estimate);
         }
         delta.insert(*set, estimate);
+    }
+    if span.is_recording() {
+        span.attr_u64("cache_hits", cache_hits as u64);
+        span.attr_u64("subtrees_executed", subtrees_executed as u64);
+        span.attr_u64("sample_rows", traced.metrics.rows_produced);
+        span.attr_u64("delta_len", delta.len() as u64);
     }
     Ok(Validation {
         delta,
@@ -360,7 +326,6 @@ mod tests {
 
     #[test]
     fn cached_validation_cannot_replay_pre_ingest_dry_runs() {
-        use crate::cache::SampleRunCache;
         use reopt_storage::Value;
 
         // Regression: before cache keys carried a DataVersion, appending
@@ -373,7 +338,7 @@ mod tests {
         let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
         let (q, plan) = pair_query(0, 0);
         let opts = ValidationOpts::default();
-        let mut cache = SampleRunCache::new();
+        let mut cache = SharedSampleRunCache::new();
 
         let before = validate_plan_cached(&q, &plan, &samples, &opts, &mut cache).unwrap();
         let est_before = before.delta.get(RelSet::first_n(2)).unwrap();

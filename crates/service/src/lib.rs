@@ -20,9 +20,9 @@
 //!   [`reopt_sampling::SharedSampleRunCache`], so a subtree validated for
 //!   one template is replayed, not re-executed, for the next.
 //!
-//! `bench_service` (in `reopt-bench`) measures the cold / warm / contended
-//! regimes and writes `BENCH_service.json`; the README's "Serving
-//! architecture" section walks through the design.
+//! The repository benchmark (`benchmark/README.md`) measures the cold and
+//! warm regimes; the README's "Serving architecture" section walks through
+//! the design.
 
 pub mod cache;
 pub mod ingest;

@@ -29,10 +29,6 @@ fn micros(d: Duration) -> u64 {
 pub struct ServiceConfig {
     /// Max templates held in the plan cache (LRU beyond this; ≥ 1).
     pub plan_cache_capacity: usize,
-    /// Pool sample dry-run subtrees across sessions and templates through
-    /// one [`SharedSampleRunCache`] (on by default). Off means every cold
-    /// miss validates with a run-private cache.
-    pub share_sample_runs: bool,
     /// Re-optimization knobs applied to every cold miss (the dry-run
     /// executor's thread knob lives at `reopt.validation.threads`).
     pub reopt: ReOptConfig,
@@ -57,7 +53,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             plan_cache_capacity: 128,
-            share_sample_runs: true,
             reopt: ReOptConfig::default(),
             optimizer: OptimizerConfig::postgres_like(),
             exec: ExecOpts::default(),
@@ -181,7 +176,6 @@ pub struct QueryService {
     pub(crate) state: Mutex<EngineState>,
     plans: Arc<PlanCache>,
     sample_cache: SharedSampleRunCache,
-    share_sample_runs: bool,
     exec_opts: ExecOpts,
     stats_version: AtomicU64,
     next_session: AtomicU64,
@@ -210,16 +204,7 @@ impl QueryService {
             state: Mutex::new(EngineState { engine, baseline }),
             plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
             sample_cache: SharedSampleRunCache::new(),
-            share_sample_runs: config.share_sample_runs,
-            // Pin the auto thread and columnar knobs to concrete values
-            // now, so the env-var/parallelism probes inside
-            // `effective_threads`/`effective_columnar` run once per
-            // service, not once per served query.
-            exec_opts: ExecOpts {
-                threads: config.exec.effective_threads(),
-                columnar: Some(config.exec.effective_columnar()),
-                ..config.exec.clone()
-            },
+            exec_opts: config.exec,
             stats_version: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
@@ -231,8 +216,8 @@ impl QueryService {
             revalidations: AtomicU64::new(0),
             revalidations_saved: AtomicU64::new(0),
             registry: MetricsRegistry::new(),
-            // Like the executor knobs above: consult REOPT_TRACE once at
-            // construction, never per submission.
+            // Consult REOPT_TRACE once at construction, never per
+            // submission.
             trace_default: config.trace.unwrap_or_else(env_trace_default),
             drift: config.drift,
         })
@@ -413,12 +398,7 @@ impl QueryService {
     ) -> Result<ServiceResponse> {
         // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
         self.reopts_run.fetch_add(1, Ordering::Relaxed);
-        let outcome = if self.share_sample_runs {
-            engine.reoptimize_shared_traced(query, &self.sample_cache, sub)
-        } else {
-            engine.reoptimize_traced(query, sub)
-        };
-        match outcome {
+        match engine.reoptimize_with(query, &self.sample_cache, sub) {
             Ok(report) => {
                 self.record_reopt(&report);
                 let cached = CachedPlan {
@@ -469,12 +449,9 @@ impl QueryService {
         self.registry.add("plan_cache.revalidations", 1);
         let mut span = tracer.span(names::SERVICE_REVALIDATE);
         let sub = tracer.under(&span);
-        let outcome = if self.share_sample_runs {
-            engine.revalidate_plan_shared(query, &stale.plan, &self.sample_cache, &sub)
-        } else {
-            engine.revalidate_plan(query, &stale.plan, &sub)
-        };
-        let cost = outcome.ok()?;
+        let cost = engine
+            .revalidate_plan(query, &stale.plan, &self.sample_cache, &sub)
+            .ok()?;
         let accepted = cost.is_finite()
             && stale.validated_cost.is_finite()
             && cost <= stale.validated_cost * ratio
@@ -739,8 +716,7 @@ impl QueryService {
         snap
     }
 
-    /// The shared sample dry-run cache (empty and unused when
-    /// `share_sample_runs` is off).
+    /// The sample dry-run cache every session's validations go through.
     pub fn sample_cache(&self) -> &SharedSampleRunCache {
         &self.sample_cache
     }

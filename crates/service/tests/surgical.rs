@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use reopt_executor::ExecOpts;
+use reopt_executor::{reference, ExecOpts};
 use reopt_plan::query::ColRef;
 use reopt_plan::{Predicate, Query, QueryBuilder};
 use reopt_sampling::SampleConfig;
@@ -37,12 +37,9 @@ fn sample_config() -> SampleConfig {
 /// revalidate_ratio: None so a surgically-evicted template re-optimizes
 /// in full — the equivalence below compares that full loop, not the
 /// re-admission shortcut.
-fn svc_config(threads: usize, columnar: bool) -> ServiceConfig {
+fn svc_config(threads: usize) -> ServiceConfig {
     ServiceConfig {
-        exec: ExecOpts {
-            columnar: Some(columnar),
-            ..ExecOpts::with_threads(threads)
-        },
+        exec: ExecOpts::with_threads(threads),
         drift: DriftConfig {
             revalidate_ratio: None,
             ..Default::default()
@@ -85,79 +82,70 @@ fn storm(service: &QueryService) {
 
 /// After a surgical refresh, the service must serve exactly what a
 /// from-scratch service over the post-ingest database serves: same plan
-/// fingerprints, bit-equal validated costs, same executed rows — at every
-/// thread count × executor engine.
+/// fingerprints, bit-equal validated costs, same executed rows — at
+/// threads {1,4}, with the executed rows checked against the row-at-a-time
+/// reference.
 #[test]
 fn surgical_refresh_is_bit_identical_to_a_full_rebuild() {
-    let mut reference: Option<(u64, u64)> = None;
     for threads in [1usize, 4] {
-        for columnar in [false, true] {
-            let surgical = service_over(
-                Arc::new(build_ott_database(&small_ott()).unwrap()),
-                svc_config(threads, columnar),
-            );
-            let touched = ott_query(surgical.engine().db(), &[0, 0, 0, 0]).unwrap();
-            let untouched = chain_query(surgical.engine().db(), &[1, 2, 3], 0);
-            surgical.execute(&touched).unwrap();
-            surgical.execute(&untouched).unwrap();
+        let surgical = service_over(
+            Arc::new(build_ott_database(&small_ott()).unwrap()),
+            svc_config(threads),
+        );
+        let touched = ott_query(surgical.engine().db(), &[0, 0, 0, 0]).unwrap();
+        let untouched = chain_query(surgical.engine().db(), &[1, 2, 3], 0);
+        surgical.execute(&touched).unwrap();
+        surgical.execute(&untouched).unwrap();
 
-            storm(&surgical);
+        storm(&surgical);
 
-            let s_touched = surgical.execute(&touched).unwrap();
-            let s_untouched = surgical.execute(&untouched).unwrap();
+        let s_touched = surgical.execute(&touched).unwrap();
+        let s_untouched = surgical.execute(&untouched).unwrap();
+        assert_eq!(
+            s_touched.response.source,
+            PlanSource::ColdMiss,
+            "drifted template re-optimizes ({threads} threads)"
+        );
+        assert_eq!(
+            s_untouched.response.source,
+            PlanSource::WarmHit,
+            "untouched template keeps serving warm"
+        );
+
+        // The from-scratch control: fresh ANALYZE, fresh samples, empty
+        // caches — over the identical post-ingest database.
+        let rebuilt = service_over(Arc::clone(surgical.engine().db()), svc_config(threads));
+        let r_touched = rebuilt.execute(&touched).unwrap();
+        let r_untouched = rebuilt.execute(&untouched).unwrap();
+
+        for (label, q, s, r) in [
+            ("touched", &touched, &s_touched, &r_touched),
+            ("untouched", &untouched, &s_untouched, &r_untouched),
+        ] {
+            let tag = format!("{label} ({threads} threads)");
             assert_eq!(
-                s_touched.response.source,
-                PlanSource::ColdMiss,
-                "drifted template re-optimizes ({threads} threads, columnar={columnar})"
+                s.response.plan.fingerprint(),
+                r.response.plan.fingerprint(),
+                "plan diverged: {tag}"
             );
             assert_eq!(
-                s_untouched.response.source,
-                PlanSource::WarmHit,
-                "untouched template keeps serving warm"
+                s.response.validated_cost.to_bits(),
+                r.response.validated_cost.to_bits(),
+                "validated cost diverged ({} vs {}): {tag}",
+                s.response.validated_cost,
+                r.response.validated_cost
             );
-
-            // The from-scratch control: fresh ANALYZE, fresh samples, empty
-            // caches — over the identical post-ingest database.
-            let rebuilt = service_over(
-                Arc::clone(surgical.engine().db()),
-                svc_config(threads, columnar),
+            assert_eq!(
+                s.output.join_rows, r.output.join_rows,
+                "executed rows diverged: {tag}"
             );
-            let r_touched = rebuilt.execute(&touched).unwrap();
-            let r_untouched = rebuilt.execute(&untouched).unwrap();
-
-            for (label, s, r) in [
-                ("touched", &s_touched, &r_touched),
-                ("untouched", &s_untouched, &r_untouched),
-            ] {
-                let tag = format!("{label} ({threads} threads, columnar={columnar})");
-                assert_eq!(
-                    s.response.plan.fingerprint(),
-                    r.response.plan.fingerprint(),
-                    "plan diverged: {tag}"
-                );
-                assert_eq!(
-                    s.response.validated_cost.to_bits(),
-                    r.response.validated_cost.to_bits(),
-                    "validated cost diverged ({} vs {}): {tag}",
-                    s.response.validated_cost,
-                    r.response.validated_cost
-                );
-                assert_eq!(
-                    s.output.join_rows, r.output.join_rows,
-                    "executed rows diverged: {tag}"
-                );
-                assert_eq!(s.output.agg, r.output.agg, "aggregates diverged: {tag}");
-            }
-
-            // And every (threads, columnar) combination agrees with the first.
-            let rows = (s_touched.output.join_rows, s_untouched.output.join_rows);
-            match reference {
-                None => reference = Some(rows),
-                Some(want) => assert_eq!(
-                    rows, want,
-                    "rows moved across ({threads} threads, columnar={columnar})"
-                ),
-            }
+            assert_eq!(s.output.agg, r.output.agg, "aggregates diverged: {tag}");
+            let oracle = reference::join_rows(surgical.engine().db(), q, &s.response.plan).unwrap();
+            assert_eq!(
+                s.output.join_rows,
+                oracle.len() as u64,
+                "engine diverged from the reference: {tag}"
+            );
         }
     }
 }
@@ -170,7 +158,7 @@ fn surgical_refresh_is_bit_identical_to_a_full_rebuild() {
 fn untouched_state_survives_a_surgical_refresh_by_pointer() {
     let service = service_over(
         Arc::new(build_ott_database(&small_ott()).unwrap()),
-        svc_config(1, false),
+        svc_config(1),
     );
     let db = Arc::clone(service.engine().db());
     let touched = ott_query(&db, &[0, 0]).unwrap();
@@ -236,4 +224,39 @@ fn untouched_state_survives_a_surgical_refresh_by_pointer() {
         "disjoint sample-cache entries must survive the refresh"
     );
     assert!(entries_after <= entries_before);
+}
+
+/// The surgical reaction's claim relative to the indiscriminate flush it
+/// replaced: after the same one-table storm it keeps strictly more
+/// templates warm.
+#[test]
+fn surgical_refresh_keeps_more_templates_warm_than_a_full_flush() {
+    let warm_after = |full_flush: bool| {
+        let service = service_over(
+            Arc::new(build_ott_database(&small_ott()).unwrap()),
+            svc_config(1),
+        );
+        let db = Arc::clone(service.engine().db());
+        let templates = [
+            ott_query(&db, &[0, 0]).unwrap(),
+            chain_query(&db, &[1, 2], 0),
+            chain_query(&db, &[2, 3, 4], 0),
+        ];
+        for q in &templates {
+            service.submit(q).unwrap();
+        }
+        storm(&service);
+        if full_flush {
+            service.refresh_full().unwrap();
+        }
+        templates
+            .iter()
+            .filter(|q| service.submit(q).unwrap().source == PlanSource::WarmHit)
+            .count()
+    };
+    let (surgical, full) = (warm_after(false), warm_after(true));
+    assert!(
+        surgical > full,
+        "surgical kept {surgical} templates warm, the full flush {full}"
+    );
 }

@@ -337,7 +337,7 @@ impl QueryTrace {
 
 /// Whether `REOPT_TRACE` asks for ambient tracing ("1" / "true" / "on",
 /// case-insensitive). Resolve this once at construction time, like the
-/// executor's `REOPT_THREADS` / `REOPT_COLUMNAR` knobs — never per query.
+/// executor's `REOPT_THREADS` knob — never per query.
 pub fn env_trace_default() -> bool {
     match std::env::var("REOPT_TRACE") {
         Ok(v) => matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"),

@@ -19,7 +19,7 @@
 use reopt::common::rng::derive_rng_indexed;
 use reopt::common::RelId;
 use reopt::core::{execute_mid_query, MidQueryOpts, MidQueryRun, ReOptConfig, ReOptimizer};
-use reopt::executor::{AggOutput, ExecOpts, Executor, RowSet};
+use reopt::executor::{reference, AggOutput, ExecOpts, Executor, RowSet};
 use reopt::optimizer::Optimizer;
 use reopt::plan::Query;
 use reopt::sampling::{SampleConfig, SampleStore, SharedSampleRunCache};
@@ -248,7 +248,7 @@ fn check_conformance(bound: &Bound, query: &Query, label: &str) {
     // set wherever the finishing plan's trace covers it.
     let exec = Executor::with_opts(&bound.db, ExecOpts::serial());
     let trace = exec
-        .run_traced(query, base.report.final_plan())
+        .run_pipeline(query, base.report.final_plan(), None)
         .unwrap()
         .node_cards;
     let mut verified = 0usize;
@@ -276,8 +276,9 @@ fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
     let re = ReOptimizer::with_config(&opt, &bound.samples, config);
 
     let shared = SharedSampleRunCache::new();
-    let cold = re.run_shared(query, &shared).unwrap();
-    let warm = re.run_shared(query, &shared).unwrap(); // full replay
+    let untraced = reopt::telemetry::Tracer::disabled();
+    let cold = re.run_with(query, &shared, &untraced).unwrap();
+    let warm = re.run_with(query, &shared, &untraced).unwrap(); // full replay
     assert!(
         cold.final_plan.same_structure(&warm.final_plan),
         "{label}: replayed loop chose a different plan"
@@ -312,125 +313,92 @@ fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
     );
 }
 
-/// Cross-engine conformance: the mid-query loop under the columnar engine
-/// must be **bit-identical** to the row engine — same emission-order row
-/// sets, same trajectory (plans, suspensions, switches, splices), and
-/// bit-equal aggregates (the trajectory is identical, so even float
-/// summation order matches) — at `threads ∈ {1, 4}`.
-fn check_columnar_conformance(bound: &Bound, query: &Query, label: &str) {
+/// Engine vs oracle under the mid-query loop, at `threads ∈ {1, 4}`: the
+/// rows the loop finishes with are the reference's tuple set for the
+/// finishing plan, and the aggregate over those rows is **bit-identical**
+/// to the reference aggregate over the same rows (same input order ⇒ same
+/// float accumulation order).
+fn check_reference_conformance(bound: &Bound, query: &Query, label: &str) {
     let opt = Optimizer::new(&bound.db, &bound.stats);
     for threads in THREAD_COUNTS {
-        let run_with = |columnar: bool| {
-            let mut config = ReOptConfig {
-                mid_query: true,
-                replan_discrepancy: None,
-                ..ReOptConfig::with_threads(threads)
-            };
-            config.validation.columnar = Some(columnar);
-            ReOptimizer::with_config(&opt, &bound.samples, config)
-                .execute_with_opts(
-                    query,
-                    ExecOpts {
-                        threads,
-                        columnar: Some(columnar),
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
+        let config = ReOptConfig {
+            mid_query: true,
+            replan_discrepancy: None,
+            ..ReOptConfig::with_threads(threads)
         };
-        let by_rows = run_with(false);
-        let by_cols = run_with(true);
-        assert_rowsets_bit_identical(
-            &by_rows.run.rows,
-            &by_cols.run.rows,
-            &format!("{label}: engines at threads={threads}"),
-        );
+        let mid = ReOptimizer::with_config(&opt, &bound.samples, config)
+            .execute_with_opts(query, ExecOpts::with_threads(threads))
+            .unwrap()
+            .run;
+        let oracle = reference::join_rows(&bound.db, query, mid.report.final_plan()).unwrap();
         assert_eq!(
-            trajectory_digest(&by_rows.run),
-            trajectory_digest(&by_cols.run),
-            "{label}: engine changed the mid-query trajectory at threads={threads}"
+            canonical(&oracle),
+            canonical(&mid.rows),
+            "{label}: rows diverged from the reference at threads={threads}"
         );
-        // Identical trajectory ⇒ identical accumulation order ⇒ the
-        // aggregates must agree bit for bit, floats included.
-        match (&by_rows.run.agg, &by_cols.run.agg) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.rows.len(), b.rows.len(), "{label}: group count");
-                for (ra, rb) in a.rows.iter().zip(&b.rows) {
-                    assert_eq!(ra.keys, rb.keys, "{label}: group keys");
-                    for (va, vb) in ra.aggs.iter().zip(&rb.aggs) {
-                        match (va, vb) {
-                            (Value::Float(x), Value::Float(y)) => assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "{label}: float bits diverged across engines"
-                            ),
-                            _ => assert_eq!(va, vb, "{label}"),
-                        }
-                    }
-                }
-            }
-            _ => panic!("{label}: one engine aggregated, the other did not"),
-        }
+        let oracle_agg = query
+            .aggregate
+            .as_ref()
+            .map(|spec| reference::aggregate(&bound.db, query, &mid.rows, spec).unwrap());
+        assert_eq!(
+            oracle_agg, mid.agg,
+            "{label}: aggregate bits diverged from the reference at threads={threads}"
+        );
     }
 }
 
 /// Tracing invariance: running the identical mid-query configuration with
 /// span recording on must be **bit-identical** to running it with the
 /// tracer off — same emission-order row sets, same trajectory, equivalent
-/// aggregates — at `threads ∈ {1, 4}` under both engines. Telemetry is
-/// observation only; it must never feed back into a plan or a row.
+/// aggregates — at `threads ∈ {1, 4}`. Telemetry is observation only; it
+/// must never feed back into a plan or a row.
 fn check_tracing_invariance(bound: &Bound, query: &Query, label: &str) {
     use reopt::telemetry::{names, Tracer};
     let opt = Optimizer::new(&bound.db, &bound.stats);
     for threads in THREAD_COUNTS {
-        for columnar in [false, true] {
-            let run_with = |tracer: Tracer| {
-                let mut config = ReOptConfig {
-                    mid_query: true,
-                    replan_discrepancy: None,
-                    ..ReOptConfig::with_threads(threads)
-                };
-                config.validation.columnar = Some(columnar);
-                ReOptimizer::with_config(&opt, &bound.samples, config)
-                    .execute_with_opts(
-                        query,
-                        ExecOpts {
-                            threads,
-                            columnar: Some(columnar),
-                            tracer,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap()
+        let run_with = |tracer: Tracer| {
+            let config = ReOptConfig {
+                mid_query: true,
+                replan_discrepancy: None,
+                ..ReOptConfig::with_threads(threads)
             };
-            let off = run_with(Tracer::disabled());
-            let tracer = Tracer::enabled();
-            let on = run_with(tracer.clone());
-            let ctx = format!("{label}: threads={threads} columnar={columnar}");
-            assert_rowsets_bit_identical(&off.run.rows, &on.run.rows, &ctx);
+            ReOptimizer::with_config(&opt, &bound.samples, config)
+                .execute_with_opts(
+                    query,
+                    ExecOpts {
+                        threads,
+                        tracer,
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+        };
+        let off = run_with(Tracer::disabled());
+        let tracer = Tracer::enabled();
+        let on = run_with(tracer.clone());
+        let ctx = format!("{label}: threads={threads}");
+        assert_rowsets_bit_identical(&off.run.rows, &on.run.rows, &ctx);
+        assert_eq!(
+            trajectory_digest(&off.run),
+            trajectory_digest(&on.run),
+            "{ctx}: tracing changed the mid-query trajectory"
+        );
+        assert_aggs_equivalent(&off.run.agg, &on.run.agg, &ctx);
+        let trace = tracer.finish();
+        assert!(
+            trace.count(names::MIDQUERY_RUN) >= 1,
+            "{ctx}: no midquery.run span recorded"
+        );
+        assert!(
+            trace.count(names::MIDQUERY_SEGMENT) >= 1,
+            "{ctx}: no midquery.segment span recorded"
+        );
+        if query.num_relations() >= 3 {
             assert_eq!(
-                trajectory_digest(&off.run),
-                trajectory_digest(&on.run),
-                "{ctx}: tracing changed the mid-query trajectory"
+                trace.count(names::MIDQUERY_SUSPEND),
+                on.run.report.stats.suspensions,
+                "{ctx}: one suspend span per suspension"
             );
-            assert_aggs_equivalent(&off.run.agg, &on.run.agg, &ctx);
-            let trace = tracer.finish();
-            assert!(
-                trace.count(names::MIDQUERY_RUN) >= 1,
-                "{ctx}: no midquery.run span recorded"
-            );
-            assert!(
-                trace.count(names::MIDQUERY_SEGMENT) >= 1,
-                "{ctx}: no midquery.segment span recorded"
-            );
-            if query.num_relations() >= 3 {
-                assert_eq!(
-                    trace.count(names::MIDQUERY_SUSPEND),
-                    on.run.report.stats.suspensions,
-                    "{ctx}: one suspend span per suspension"
-                );
-            }
         }
     }
 }
@@ -451,31 +419,31 @@ fn tpch_mid_query_tracing_invariance() {
 }
 
 #[test]
-fn ott_mid_query_columnar_conformance() {
+fn ott_mid_query_reference_conformance() {
     let bound = ott_bound();
     for consts in [vec![0i64, 0, 0, 1], vec![0, 1, 0, 1, 0]] {
         let q = ott_query(&bound.db, &consts).unwrap();
-        check_columnar_conformance(&bound, &q, &format!("ott{consts:?}"));
+        check_reference_conformance(&bound, &q, &format!("ott{consts:?}"));
     }
 }
 
 #[test]
-fn tpch_mid_query_columnar_conformance() {
+fn tpch_mid_query_reference_conformance() {
     let bound = tpch_bound();
     for name in ["q5", "q9"] {
         let mut rng = derive_rng_indexed(11, "midquery-tpch", 2);
         let q = tpch::instantiate(&bound.db, name, &mut rng).unwrap();
-        check_columnar_conformance(&bound, &q, &format!("tpch/{name}"));
+        check_reference_conformance(&bound, &q, &format!("tpch/{name}"));
     }
 }
 
 #[test]
-fn tpcds_mid_query_columnar_conformance() {
+fn tpcds_mid_query_reference_conformance() {
     let bound = tpcds_bound();
     for name in ["q3", "q50p"] {
         let mut rng = derive_rng_indexed(11, "midquery-tpcds", 2);
         let q = tpcds::instantiate(&bound.db, name, &mut rng).unwrap();
-        check_columnar_conformance(&bound, &q, &format!("tpcds/{name}"));
+        check_reference_conformance(&bound, &q, &format!("tpcds/{name}"));
     }
 }
 
@@ -555,7 +523,7 @@ fn same_plan_resume_is_free() {
     let mut gamma = reopt::optimizer::CardOverrides::new();
     let mut plan = opt.optimize_with(&q, &gamma).unwrap().plan;
     for _ in 0..8 {
-        for (set, rows) in exec.run_traced(&q, &plan).unwrap().node_cards {
+        for (set, rows) in exec.run_pipeline(&q, &plan, None).unwrap().node_cards {
             gamma.insert_exact(set, rows as f64);
         }
         let next = opt.optimize_with(&q, &gamma).unwrap().plan;
@@ -565,7 +533,7 @@ fn same_plan_resume_is_free() {
         plan = next;
     }
 
-    let base = exec.run_traced(&q, &plan).unwrap();
+    let base = exec.run_pipeline(&q, &plan, None).unwrap();
     let mid = execute_mid_query(
         &bound.db,
         &opt,

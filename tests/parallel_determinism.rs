@@ -2,15 +2,18 @@
 //! thread count is **bit-identical** to serial execution — same `RowSet`
 //! contents, same `node_cards` traces, same validated Δ, same
 //! re-optimization trajectory and chosen plan — on the OTT and TPC-H
-//! workloads, including the `SubtreeCache` replay path. Parallelism may
-//! only buy wall-clock, never change an answer.
+//! workloads, including the `SubtreeCache` replay path — and the engine at
+//! threads {1,4} is bit-identical to the row-at-a-time reference
+//! (`reopt::executor::reference`). Parallelism may only buy wall-clock,
+//! never change an answer.
 
 use reopt::common::rng::derive_rng_indexed;
 use reopt::core::{ReOptConfig, ReOptimizer, ReoptReport};
-use reopt::executor::{ExecOpts, Executor, RowSet};
+use reopt::executor::{reference, ExecOpts, Executor, RowSet};
 use reopt::optimizer::Optimizer;
 use reopt::sampling::{
-    validate_plan, validate_plan_cached, SampleConfig, SampleRunCache, SampleStore, ValidationOpts,
+    validate_plan, validate_plan_cached, SampleConfig, SampleStore, SharedSampleRunCache,
+    ValidationOpts,
 };
 use reopt::stats::{analyze_database, AnalyzeOpts, DatabaseStats};
 use reopt::storage::Database;
@@ -103,34 +106,33 @@ fn check_execution_invariance(bound: &Bound, query: &reopt::plan::Query, label: 
     let plan = re.run(query).unwrap().final_plan;
 
     let serial = Executor::with_opts(&bound.db, ExecOpts::serial());
-    let (base_rows, base_metrics) = serial.run_rowset(query, &plan).unwrap();
-    let base_trace = serial.run_traced(query, &plan).unwrap().node_cards;
+    let base = serial.run_pipeline(query, &plan, None).unwrap();
 
     // The SubtreeCache replay path on the *samples* (its production home):
     // run once cold, once fully cached, per thread count.
     let sample_exec = |threads: usize| {
         let exec = Executor::with_opts(bound.samples.database(), ExecOpts::with_threads(threads));
-        let mut cache = SampleRunCache::new();
-        let cold = exec.run_traced_cached(query, &plan, &mut cache).unwrap();
-        let warm = exec.run_traced_cached(query, &plan, &mut cache).unwrap();
+        let mut cache = SharedSampleRunCache::new();
+        let cold = exec.run_pipeline(query, &plan, Some(&mut cache)).unwrap();
+        let warm = exec.run_pipeline(query, &plan, Some(&mut cache)).unwrap();
         assert_eq!(
             cold.node_cards, warm.node_cards,
             "{label}: cached replay trace diverged at threads={threads}"
         );
-        assert!(cache.hits() > 0, "{label}: second dry-run never hit");
+        assert!(cache.stats().hits > 0, "{label}: second dry-run never hit");
         (cold.rows, cold.node_cards)
     };
     let (base_sample_rows, base_sample_trace) = sample_exec(1);
 
     for threads in THREAD_COUNTS {
         let exec = Executor::with_opts(&bound.db, ExecOpts::with_threads(threads));
-        let (rows, metrics) = exec.run_rowset(query, &plan).unwrap();
-        assert_rowsets_identical(&base_rows, &rows, &format!("{label} threads={threads}"));
-        let traced = exec.run_traced(query, &plan).unwrap();
+        let run = exec.run_pipeline(query, &plan, None).unwrap();
+        assert_rowsets_identical(&base.rows, &run.rows, &format!("{label} threads={threads}"));
         assert_eq!(
-            base_trace, traced.node_cards,
+            base.node_cards, run.node_cards,
             "{label}: trace diverged at threads={threads}"
         );
+        let (metrics, base_metrics) = (&run.metrics, &base.metrics);
         assert_eq!(metrics.rows_scanned, base_metrics.rows_scanned, "{label}");
         assert_eq!(metrics.rows_produced, base_metrics.rows_produced, "{label}");
 
@@ -172,7 +174,7 @@ fn check_reopt_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str
             "{label}: Δ at threads={threads}"
         );
         // Cached validation (the incremental loop's path).
-        let mut cache = SampleRunCache::new();
+        let mut cache = SharedSampleRunCache::new();
         let vc = validate_plan_cached(
             query,
             &base_report.final_plan,
@@ -194,73 +196,41 @@ fn check_reopt_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str
     }
 }
 
-/// Cross-engine invariance: columnar on vs off must produce bit-identical
-/// rows, traces, Δ, and re-optimization trajectories — at serial and
-/// parallel thread counts. The engine knob, like the thread knob, may
-/// only buy wall-clock.
-fn check_columnar_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str) {
+/// Engine vs oracle: at threads {1,4} the engine's join rows — over the
+/// full database and over the samples — and its aggregate output must be
+/// bit-identical to the row-at-a-time reference (floats compared through
+/// `AggOutput`'s exact equality).
+fn check_reference_equivalence(bound: &Bound, query: &reopt::plan::Query, label: &str) {
     let opt = Optimizer::new(&bound.db, &bound.stats);
     let re = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(1));
     let plan = re.run(query).unwrap().final_plan;
 
+    let oracle = reference::join_rows(&bound.db, query, &plan).unwrap();
+    let oracle_agg = query
+        .aggregate
+        .as_ref()
+        .map(|spec| reference::aggregate(&bound.db, query, &oracle, spec).unwrap());
+    let sample_db = bound.samples.database();
+    let sample_oracle = reference::join_rows(sample_db, query, &plan).unwrap();
+
     for threads in [1usize, 4] {
-        let engine = |columnar: bool| {
-            Executor::with_opts(
-                &bound.db,
-                ExecOpts {
-                    threads,
-                    columnar: Some(columnar),
-                    ..Default::default()
-                },
-            )
-        };
-        let (row_rows, row_m) = engine(false).run_rowset(query, &plan).unwrap();
-        let (col_rows, col_m) = engine(true).run_rowset(query, &plan).unwrap();
+        let ctx = format!("{label} vs reference threads={threads}");
+        let exec = Executor::with_opts(&bound.db, ExecOpts::with_threads(threads));
+        let run = exec.run_pipeline(query, &plan, None).unwrap();
+        assert_rowsets_identical(&oracle, &run.rows, &ctx);
+        assert_eq!(
+            exec.run(query, &plan).unwrap().agg,
+            oracle_agg,
+            "{ctx}: agg"
+        );
+
+        let sample_run = Executor::with_opts(sample_db, ExecOpts::with_threads(threads))
+            .run_pipeline(query, &plan, None)
+            .unwrap();
         assert_rowsets_identical(
-            &row_rows,
-            &col_rows,
-            &format!("{label} columnar threads={threads}"),
-        );
-        let row_trace = engine(false).run_traced(query, &plan).unwrap().node_cards;
-        let col_trace = engine(true).run_traced(query, &plan).unwrap().node_cards;
-        assert_eq!(
-            row_trace, col_trace,
-            "{label}: cross-engine trace diverged at threads={threads}"
-        );
-        assert_eq!(row_m.rows_scanned, col_m.rows_scanned, "{label}");
-        assert_eq!(row_m.rows_produced, col_m.rows_produced, "{label}");
-        assert_eq!(row_m.batches_processed, 0, "{label}: row engine batched");
-
-        // Validation: Δ must not depend on the engine.
-        let vopts = |columnar: bool| ValidationOpts {
-            threads,
-            columnar: Some(columnar),
-            ..Default::default()
-        };
-        let row_v = validate_plan(query, &plan, &bound.samples, &vopts(false)).unwrap();
-        let col_v = validate_plan(query, &plan, &bound.samples, &vopts(true)).unwrap();
-        assert_eq!(
-            delta_bits(&row_v),
-            delta_bits(&col_v),
-            "{label}: Δ diverged across engines at threads={threads}"
-        );
-
-        // The whole loop: identical trajectory, plans, and Γ either way.
-        let config = |columnar: bool| {
-            let mut c = ReOptConfig::with_threads(threads);
-            c.validation.columnar = Some(columnar);
-            c
-        };
-        let row_report = ReOptimizer::with_config(&opt, &bound.samples, config(false))
-            .run(query)
-            .unwrap();
-        let col_report = ReOptimizer::with_config(&opt, &bound.samples, config(true))
-            .run(query)
-            .unwrap();
-        assert_eq!(
-            replay_digest(&row_report),
-            replay_digest(&col_report),
-            "{label}: trajectory diverged across engines at threads={threads}"
+            &sample_oracle,
+            &sample_run.rows,
+            &format!("{ctx} (samples)"),
         );
     }
 }
@@ -268,7 +238,7 @@ fn check_columnar_invariance(bound: &Bound, query: &reopt::plan::Query, label: &
 /// Tracing invariance: span recording must be pure observation. Rows,
 /// traces, validated Δ, and whole re-optimization trajectories with the
 /// tracer on must be bit-identical to the tracer-off runs — at
-/// `threads ∈ {1, 4}` under both engines.
+/// `threads ∈ {1, 4}`.
 fn check_tracing_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str) {
     use reopt::telemetry::{names, Tracer};
     let opt = Optimizer::new(&bound.db, &bound.stats);
@@ -276,97 +246,95 @@ fn check_tracing_invariance(bound: &Bound, query: &reopt::plan::Query, label: &s
     let plan = re.run(query).unwrap().final_plan;
 
     for threads in [1usize, 4] {
-        for columnar in [false, true] {
-            let ctx = format!("{label}: threads={threads} columnar={columnar}");
-            let engine = |tracer: Tracer| {
-                Executor::with_opts(
-                    &bound.db,
-                    ExecOpts {
-                        threads,
-                        columnar: Some(columnar),
-                        tracer,
-                        ..Default::default()
-                    },
-                )
-            };
-            let (off_rows, off_m) = engine(Tracer::disabled()).run_rowset(query, &plan).unwrap();
-            let tracer = Tracer::enabled();
-            let (on_rows, on_m) = engine(tracer.clone()).run_rowset(query, &plan).unwrap();
-            assert_rowsets_identical(&off_rows, &on_rows, &ctx);
-            assert_eq!(off_m.rows_scanned, on_m.rows_scanned, "{ctx}");
-            assert_eq!(off_m.rows_produced, on_m.rows_produced, "{ctx}");
-            let trace = tracer.finish();
-            // Every executed node gets an exec.operator span. Index-nested
-            // inners are probed, not executed standalone, so the count is
-            // plan-shaped: at least one per join + leftmost scan, at most
-            // one per node.
-            let ops = trace.count(names::EXEC_OPERATOR);
-            assert!(
-                (query.num_relations()..2 * query.num_relations()).contains(&ops),
-                "{ctx}: {ops} operator spans for {} relations",
-                query.num_relations()
-            );
-            // The root operator's span reports the true output cardinality.
-            let root = trace
-                .spans()
-                .iter()
-                .find(|s| {
-                    s.name == names::EXEC_OPERATOR
-                        && s.attr_u64("node") == Some(plan.relset().mask())
-                })
-                .unwrap_or_else(|| panic!("{ctx}: no root operator span"));
-            assert_eq!(
-                root.attr_u64("rows"),
-                Some(off_rows.len() as u64),
-                "{ctx}: root span rows"
-            );
+        let ctx = format!("{label}: threads={threads}");
+        let engine = |tracer: Tracer| {
+            Executor::with_opts(
+                &bound.db,
+                ExecOpts {
+                    threads,
+                    tracer,
+                    ..Default::default()
+                },
+            )
+        };
+        let off = engine(Tracer::disabled())
+            .run_pipeline(query, &plan, None)
+            .unwrap();
+        let tracer = Tracer::enabled();
+        let on = engine(tracer.clone())
+            .run_pipeline(query, &plan, None)
+            .unwrap();
+        assert_rowsets_identical(&off.rows, &on.rows, &ctx);
+        assert_eq!(off.node_cards, on.node_cards, "{ctx}");
+        assert_eq!(off.metrics.rows_scanned, on.metrics.rows_scanned, "{ctx}");
+        assert_eq!(off.metrics.rows_produced, on.metrics.rows_produced, "{ctx}");
+        let trace = tracer.finish();
+        // Every executed node gets an exec.operator span. Index-nested
+        // inners are probed, not executed standalone, so the count is
+        // plan-shaped: at least one per join + leftmost scan, at most
+        // one per node.
+        let ops = trace.count(names::EXEC_OPERATOR);
+        assert!(
+            (query.num_relations()..2 * query.num_relations()).contains(&ops),
+            "{ctx}: {ops} operator spans for {} relations",
+            query.num_relations()
+        );
+        // The root operator's span reports the true output cardinality.
+        let root = trace
+            .spans()
+            .iter()
+            .find(|s| {
+                s.name == names::EXEC_OPERATOR && s.attr_u64("node") == Some(plan.relset().mask())
+            })
+            .unwrap_or_else(|| panic!("{ctx}: no root operator span"));
+        assert_eq!(
+            root.attr_u64("rows"),
+            Some(off.rows.len() as u64),
+            "{ctx}: root span rows"
+        );
 
-            // Validation: Δ must not depend on the tracer.
-            let vopts = |tracer: Tracer| ValidationOpts {
-                threads,
-                columnar: Some(columnar),
-                tracer,
-                ..Default::default()
-            };
-            let off_v =
-                validate_plan(query, &plan, &bound.samples, &vopts(Tracer::disabled())).unwrap();
-            let vtracer = Tracer::enabled();
-            let on_v =
-                validate_plan(query, &plan, &bound.samples, &vopts(vtracer.clone())).unwrap();
-            assert_eq!(
-                delta_bits(&off_v),
-                delta_bits(&on_v),
-                "{ctx}: Δ diverged under tracing"
-            );
-            assert_eq!(
-                vtracer.finish().count(names::SAMPLING_DRY_RUN),
-                1,
-                "{ctx}: dry-run span"
-            );
+        // Validation: Δ must not depend on the tracer.
+        let vopts = |tracer: Tracer| ValidationOpts {
+            threads,
+            tracer,
+            ..Default::default()
+        };
+        let off_v =
+            validate_plan(query, &plan, &bound.samples, &vopts(Tracer::disabled())).unwrap();
+        let vtracer = Tracer::enabled();
+        let on_v = validate_plan(query, &plan, &bound.samples, &vopts(vtracer.clone())).unwrap();
+        assert_eq!(
+            delta_bits(&off_v),
+            delta_bits(&on_v),
+            "{ctx}: Δ diverged under tracing"
+        );
+        assert_eq!(
+            vtracer.finish().count(names::SAMPLING_DRY_RUN),
+            1,
+            "{ctx}: dry-run span"
+        );
 
-            // The whole loop: identical trajectory with and without spans.
-            let mut config = ReOptConfig::with_threads(threads);
-            config.validation.columnar = Some(columnar);
-            let off_report = ReOptimizer::with_config(&opt, &bound.samples, config.clone())
-                .run(query)
-                .unwrap();
-            let ltracer = Tracer::enabled();
-            let on_report = ReOptimizer::with_config(&opt, &bound.samples, config)
-                .run_traced(query, &ltracer)
-                .unwrap();
-            assert_eq!(
-                replay_digest(&off_report),
-                replay_digest(&on_report),
-                "{ctx}: trajectory diverged under tracing"
-            );
-            let ltrace = ltracer.finish();
-            assert_eq!(ltrace.count(names::REOPT_LOOP), 1, "{ctx}");
-            assert_eq!(
-                ltrace.count(names::REOPT_ROUND),
-                on_report.rounds.len(),
-                "{ctx}: one round span per round"
-            );
-        }
+        // The whole loop: identical trajectory with and without spans.
+        let config = ReOptConfig::with_threads(threads);
+        let off_report = ReOptimizer::with_config(&opt, &bound.samples, config.clone())
+            .run(query)
+            .unwrap();
+        let ltracer = Tracer::enabled();
+        let on_report = ReOptimizer::with_config(&opt, &bound.samples, config)
+            .run_with(query, &SharedSampleRunCache::new(), &ltracer)
+            .unwrap();
+        assert_eq!(
+            replay_digest(&off_report),
+            replay_digest(&on_report),
+            "{ctx}: trajectory diverged under tracing"
+        );
+        let ltrace = ltracer.finish();
+        assert_eq!(ltrace.count(names::REOPT_LOOP), 1, "{ctx}");
+        assert_eq!(
+            ltrace.count(names::REOPT_ROUND),
+            on_report.rounds.len(),
+            "{ctx}: one round span per round"
+        );
     }
 }
 
@@ -386,21 +354,21 @@ fn tpch_tracing_is_bit_identical() {
 }
 
 #[test]
-fn ott_columnar_engine_is_bit_identical() {
+fn ott_engine_matches_reference() {
     let bound = ott_bound();
     for consts in [vec![0i64, 0, 0, 0], vec![0, 0, 0, 1]] {
         let q = ott_query(&bound.db, &consts).unwrap();
-        check_columnar_invariance(&bound, &q, &format!("ott{consts:?}"));
+        check_reference_equivalence(&bound, &q, &format!("ott{consts:?}"));
     }
 }
 
 #[test]
-fn tpch_columnar_engine_is_bit_identical() {
+fn tpch_engine_matches_reference() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(7, "parallel-determinism", 2);
     for name in ["q5", "q8"] {
         let q = instantiate(&bound.db, name, &mut rng).unwrap();
-        check_columnar_invariance(&bound, &q, &format!("tpch/{name}"));
+        check_reference_equivalence(&bound, &q, &format!("tpch/{name}"));
     }
 }
 

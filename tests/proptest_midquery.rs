@@ -261,7 +261,7 @@ proptest! {
         let exec = Executor::with_opts(&db, ExecOpts::serial());
 
         let plan = opt.optimize(&q).unwrap().plan;
-        let straight = exec.run_traced(&q, &plan).unwrap();
+        let straight = exec.run_pipeline(&q, &plan, None).unwrap();
         let mid = execute_mid_query(
             &db,
             &opt,
@@ -281,7 +281,7 @@ proptest! {
         // Exactness against an independent straight re-execution of the
         // finishing plan.
         let final_trace = exec
-            .run_traced(&q, mid.report.final_plan())
+            .run_pipeline(&q, mid.report.final_plan(), None)
             .unwrap()
             .node_cards;
         for (set, rows) in final_trace {
