@@ -68,6 +68,12 @@ struct CacheState {
     /// entries whose tables were untouched instead of dropping the whole
     /// cache (see [`SharedSampleRunCache::migrate_version`]).
     tables_of: FxHashMap<u64, Vec<TableId>>,
+    /// Versions below this were migrated away (see
+    /// [`SharedSampleRunCache::migrate_version`]): a handle still pinned to
+    /// one may look up (and miss) but no longer stores, so a session that
+    /// outlives its sample generation cannot re-insert entries nothing
+    /// will ever migrate or read again.
+    floor: DataVersion,
     hits: usize,
     executed: usize,
 }
@@ -167,9 +173,10 @@ impl SharedSampleRunCache {
     /// Record the full-database estimate derived for `(set, fp)` at this
     /// handle's data version.
     pub fn record_validated(&self, set: RelSet, fp: u64, estimate: f64) {
-        self.lock()
-            .validated
-            .insert((set, fp, self.version), estimate);
+        let mut g = self.lock();
+        if self.version >= g.floor {
+            g.validated.insert((set, fp, self.version), estimate);
+        }
     }
 
     /// Surgical-refresh migration, across all sharers: re-key every entry
@@ -179,7 +186,8 @@ impl SharedSampleRunCache {
     /// [`crate::SampleStore::refresh_tables`], so a migrated entry's rows
     /// are exactly what a fresh dry-run at `to` would produce. Entries
     /// whose fingerprint was never sighted via [`SubtreeCache::fingerprint`]
-    /// are dropped conservatively. Returns `(kept, dropped)`.
+    /// are dropped conservatively. Handles still pinned below `to` stop
+    /// storing from here on. Returns `(kept, dropped)`.
     pub fn migrate_version(
         &self,
         from: DataVersion,
@@ -190,6 +198,7 @@ impl SharedSampleRunCache {
             return (0, 0);
         }
         let mut g = self.lock();
+        g.floor = g.floor.max(to);
         let CacheState {
             results,
             validated,
@@ -272,7 +281,9 @@ impl SubtreeCache for SharedSampleRunCache {
     fn store(&mut self, set: RelSet, fp: u64, rows: &RowSet) {
         let mut g = self.lock();
         g.executed += 1;
-        g.results.insert((set, fp, self.version), rows.clone());
+        if self.version >= g.floor {
+            g.results.insert((set, fp, self.version), rows.clone());
+        }
     }
 }
 
@@ -545,11 +556,18 @@ mod tests {
         assert_eq!(at2.validated_estimate(p01.relset(), fp01), Some(10.0));
         assert!(at2.lookup(p12.relset(), fp12).is_none());
         assert!(at2.validated_estimate(p12.relset(), fp12).is_none());
-        // Nothing is left behind at the old version either.
+        // Nothing is left behind at the old version either…
         let mut at1 = shared.clone();
         at1.set_data_version(DataVersion::new(1));
         assert!(at1.lookup(p01.relset(), fp01).is_none());
         assert!(at1.lookup(p12.relset(), fp12).is_none());
+        // …and a session still pinned to it cannot put anything back.
+        let entries = shared.stats();
+        at1.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
+        at1.record_validated(p12.relset(), fp12, 20.0);
+        assert!(at1.lookup(p12.relset(), fp12).is_none());
+        assert_eq!(shared.stats().entries, entries.entries);
+        assert_eq!(shared.stats().validated, entries.validated);
     }
 
     #[test]

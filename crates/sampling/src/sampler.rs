@@ -47,6 +47,11 @@ pub struct SampleStore {
     /// exactly that data state, and every cache keyed off this store
     /// qualifies its entries with it.
     data_version: DataVersion,
+    /// Per table: the base database's [`DataVersion`] its sample was last
+    /// drawn at. A [`SampleStore::refresh_tables`] advances only the
+    /// redrawn tables, so a result validated on table `t`'s sample is
+    /// current exactly while `table_version(t)` has not moved.
+    drawn_at: FxHashMap<TableId, DataVersion>,
 }
 
 impl SampleStore {
@@ -65,9 +70,11 @@ impl SampleStore {
         );
         let mut sample_db = Database::new();
         let mut scale: FxHashMap<TableId, f64> = FxHashMap::default();
+        let mut drawn_at: FxHashMap<TableId, DataVersion> = FxHashMap::default();
         for table in db.tables() {
             let (rows, factor) = draw_rows(table, &config);
             scale.insert(table.id(), factor);
+            drawn_at.insert(table.id(), db.data_version());
             let name = format!("{}__sample", table.name());
             sample_db.add_table_with(|id| table.subset(id, name, &rows))?;
         }
@@ -76,6 +83,7 @@ impl SampleStore {
             scale,
             config,
             data_version: db.data_version(),
+            drawn_at,
         })
     }
 
@@ -92,6 +100,7 @@ impl SampleStore {
     pub fn refresh_tables(&self, db: &Database, tables: &[TableId]) -> Result<SampleStore> {
         let mut sample_db = self.sample_db.clone();
         let mut scale = self.scale.clone();
+        let mut drawn_at = self.drawn_at.clone();
         let mut todo: Vec<TableId> = tables.to_vec();
         todo.sort_unstable();
         todo.dedup();
@@ -104,12 +113,14 @@ impl SampleStore {
             let name = sample_db.table(tid)?.name().to_owned();
             sample_db.replace_table(table.subset(tid, name, &rows)?)?;
             scale.insert(tid, factor);
+            drawn_at.insert(tid, db.data_version());
         }
         Ok(SampleStore {
             sample_db,
             scale,
             config: self.config.clone(),
             data_version: db.data_version(),
+            drawn_at,
         })
     }
 
@@ -140,6 +151,16 @@ impl SampleStore {
     /// The base database's [`DataVersion`] these samples were drawn at.
     pub fn data_version(&self) -> DataVersion {
         self.data_version
+    }
+
+    /// The base database's [`DataVersion`] `table`'s sample was last drawn
+    /// at (see [`SampleStore::refresh_tables`]). Errors on a table the
+    /// store never sampled.
+    pub fn table_version(&self, table: TableId) -> Result<DataVersion> {
+        self.drawn_at
+            .get(&table)
+            .copied()
+            .ok_or_else(|| Error::invalid(format!("no sample recorded for table {table}")))
     }
 }
 
@@ -373,6 +394,17 @@ mod tests {
             );
         }
         assert_eq!(surgical.data_version(), db.data_version());
+        // Only the redrawn table's sample version moved.
+        for t in 0..3 {
+            let id = TableId::new(t);
+            let expect = if t == 1 {
+                db.data_version()
+            } else {
+                store.data_version()
+            };
+            assert_eq!(surgical.table_version(id).unwrap(), expect, "table {t}");
+        }
+        assert!(surgical.table_version(TableId::new(9)).is_err());
     }
 
     #[test]

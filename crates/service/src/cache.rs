@@ -20,26 +20,37 @@
 //! by `LeadGuard::drop`, which publishes an [`Error::Service`] so waiters
 //! can retry instead of blocking forever.
 //!
-//! **Eviction.** Entries die three ways: LRU when the cache exceeds its
+//! **Eviction.** Entries die two ways: LRU when the cache exceeds its
 //! capacity (least-recently-touched `Ready` entry goes; in-flight slots
-//! are never evicted); staleness when the service bumps its statistics
+//! are never evicted), and staleness when the service bumps its statistics
 //! version (re-ANALYZE / full sample refresh) — version checks happen
 //! lazily on lookup, so a bump is O(1) and stale plans are re-optimized on
-//! next touch, not en masse; and *surgically* via
-//! [`PlanCache::evict_tables`] after a partial sample refresh — entries
-//! whose template touches a drifted base table are marked for
-//! re-validation (not dropped: the next admission gets the stale plan back
-//! via [`Admission::Revalidate`] and may cheaply re-admit it when its
+//! next touch, not en masse.
+//!
+//! **Freshness is a function of the admitting snapshot.** Every
+//! [`CachedPlan`] records, per base table, the version of the *sample* it
+//! was validated on ([`CachedPlan::sampled_at`]), and [`PlanCache::begin`]
+//! compares that against the sample versions of the snapshot the caller
+//! was admitted under. A surgical refresh therefore needs no mark pass and
+//! no second step after the snapshot swap: the moment a reader holds the
+//! post-refresh snapshot, every plan validated on a redrawn table's old
+//! sample reads as stale — including one whose in-flight computation lands
+//! *after* the refresh — and its next admission gets the stale plan back
+//! via [`Admission::Revalidate`] (it may be cheaply re-admitted when its
 //! re-validated cost still holds), while templates over untouched tables
-//! keep warm-hitting.
+//! keep warm-hitting. A reader still holding an *older* snapshot than the
+//! one the entry was validated under is sent back for a newer one
+//! ([`Admission::Behind`]), so every response pairs a plan with a data
+//! version at or after the plan's own.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use reopt_common::{lock_unpoisoned, Error, Result, TableId};
 use reopt_plan::PhysicalPlan;
+use reopt_storage::DataVersion;
 
 /// A cached re-optimization outcome for one query template.
 #[derive(Debug, Clone)]
@@ -59,9 +70,54 @@ pub struct CachedPlan {
     /// The plan's cost under the final Γ of the run that produced it —
     /// the reference value re-validation compares against.
     pub validated_cost: f64,
-    /// Base tables the template touches (sorted, deduplicated), driving
-    /// per-table eviction.
-    pub base_tables: Vec<TableId>,
+    /// The [`DataVersion`] of the snapshot the plan was computed (or last
+    /// re-validated) under. It is only ever served to a snapshot at or
+    /// after this one.
+    pub data_version: DataVersion,
+    /// Base tables the template touches (sorted, deduplicated), each with
+    /// the version of the sample the plan was validated on
+    /// ([`reopt_sampling::SampleStore::table_version`] of the admitting
+    /// snapshot) — what [`CachedPlan::freshness`] compares.
+    pub sampled_at: Vec<(TableId, DataVersion)>,
+}
+
+/// How a cached plan's validation relates to the samples of one snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Freshness {
+    /// Validated on exactly the snapshot's samples of every base table.
+    Current,
+    /// A base table's sample was redrawn since: re-validate before serving.
+    Stale,
+    /// Validated under a *newer* snapshot than the caller holds — the
+    /// caller's snapshot has been superseded.
+    Ahead,
+}
+
+impl CachedPlan {
+    /// How this plan relates to an admitting snapshot at data version
+    /// `at` whose per-table sample versions are `sample_version`. A plan
+    /// validated under a later snapshot is [`Freshness::Ahead`]; otherwise
+    /// it is current exactly while every base table's sample is the one it
+    /// was validated on (per-table versions only advance, so any
+    /// difference means "redrawn since"; a table the snapshot has no
+    /// sample of reads as stale).
+    pub(crate) fn freshness(
+        &self,
+        at: DataVersion,
+        sample_version: impl Fn(TableId) -> Option<DataVersion>,
+    ) -> Freshness {
+        if self.data_version > at {
+            Freshness::Ahead
+        } else if self
+            .sampled_at
+            .iter()
+            .all(|&(table, validated)| sample_version(table) == Some(validated))
+        {
+            Freshness::Current
+        } else {
+            Freshness::Stale
+        }
+    }
 }
 
 /// A single-flight rendezvous: the leader publishes exactly once, waiters
@@ -96,10 +152,6 @@ struct Entry {
     cached: CachedPlan,
     /// Logical clock value of the last touch (monotone; higher = fresher).
     last_used: u64,
-    /// Set by [`PlanCache::evict_tables`]: a base table this plan touches
-    /// had its sample refreshed, so the next admission must re-validate
-    /// the plan before serving it again.
-    revalidate: bool,
 }
 
 #[derive(Debug)]
@@ -119,10 +171,14 @@ pub(crate) enum Admission {
     Wait(Arc<Flight>),
     /// This session leads: compute, then `complete` the guard.
     Lead(LeadGuard),
-    /// This session leads, holding a surgically-evicted plan: re-validate
-    /// `stale` against the fresh samples and either re-admit it or fall
-    /// through to a full re-optimization, then `complete` the guard.
+    /// This session leads, holding a plan validated on a since-redrawn
+    /// sample: re-validate `stale` against the fresh samples and either
+    /// re-admit it or fall through to a full re-optimization, then
+    /// `complete` the guard.
     Revalidate { guard: LeadGuard, stale: CachedPlan },
+    /// The cached plan was validated under a newer snapshot than the
+    /// caller holds: load the current snapshot and begin again.
+    Behind,
 }
 
 /// Leadership token for one in-flight template. The leader must call
@@ -161,64 +217,23 @@ impl Drop for LeadGuard {
     }
 }
 
-/// The cache's interior state: the slots plus two side indexes kept in
-/// lockstep under one lock. All ordered maps/sets (rule R1): eviction and
-/// per-table marking scan them, and ordered walks keep those scans — and
-/// with them which entry dies on an LRU-tick tie — deterministic by
-/// construction.
-#[derive(Debug, Default)]
-struct CacheMap {
-    /// Template fingerprint → slot. The map never exceeds `capacity` +
-    /// in-flight slots, so the `BTreeMap` lookup is noise next to the
-    /// re-optimization it fronts.
-    slots: BTreeMap<u64, Slot>,
-    /// Base table → fingerprints of `Ready` entries touching it — the
-    /// index [`PlanCache::evict_tables`] walks. In-flight slots are
-    /// indexed only once they land (their base tables travel in the
-    /// [`CachedPlan`]).
-    by_table: BTreeMap<TableId, BTreeSet<u64>>,
-    /// Fingerprints whose *in-flight* computation overlapped a surgical
-    /// refresh: the leader validated against the pre-refresh samples but
-    /// will land under an unchanged stats version, so its entry is marked
-    /// for re-validation the moment it becomes `Ready`.
-    pending_revalidate: BTreeSet<u64>,
-}
-
-impl CacheMap {
-    /// Remove a `Ready` slot, unindexing it everywhere. In-flight slots
-    /// are left alone (a leader's pending insert must not be raced away).
-    fn remove_ready(&mut self, fingerprint: u64) -> Option<Entry> {
-        if !matches!(self.slots.get(&fingerprint), Some(Slot::Ready(_))) {
-            return None;
-        }
-        let Some(Slot::Ready(entry)) = self.slots.remove(&fingerprint) else {
-            return None;
-        };
-        for t in &entry.cached.base_tables {
-            if let Some(set) = self.by_table.get_mut(t) {
-                set.remove(&fingerprint);
-                if set.is_empty() {
-                    self.by_table.remove(t);
-                }
-            }
-        }
-        self.pending_revalidate.remove(&fingerprint);
-        Some(entry)
-    }
-}
-
 /// The shared, thread-safe plan cache (see the module docs).
 #[derive(Debug)]
 pub struct PlanCache {
-    map: Mutex<CacheMap>,
+    /// Template fingerprint → slot. An ordered map (rule R1): the LRU scan
+    /// walks it, and an ordered walk keeps which entry dies on a tick tie
+    /// deterministic by construction. It never exceeds `capacity` +
+    /// in-flight slots, so the lookup is noise next to the
+    /// re-optimization it fronts.
+    slots: Mutex<BTreeMap<u64, Slot>>,
     /// Max `Ready` entries kept; ≥ 1.
     capacity: usize,
     /// Logical LRU clock.
     tick: AtomicU64,
     lru_evictions: AtomicU64,
     stale_evictions: AtomicU64,
-    /// Plans marked for re-validation by [`PlanCache::evict_tables`],
-    /// lifetime total.
+    /// Admissions that found a plan validated on a since-redrawn sample
+    /// and handed it out for re-validation, lifetime total.
     table_evictions: AtomicU64,
 }
 
@@ -226,7 +241,7 @@ impl PlanCache {
     /// Cache holding at most `capacity` plans (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            map: Mutex::new(CacheMap::default()),
+            slots: Mutex::new(BTreeMap::new()),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             lru_evictions: AtomicU64::new(0),
@@ -235,11 +250,10 @@ impl PlanCache {
         }
     }
 
-    /// Every mutation under this lock is a handful of map operations kept
-    /// consistent as a unit, so a panicked sharer cannot leave the maps
-    /// torn: recover from poison.
-    fn lock(&self) -> MutexGuard<'_, CacheMap> {
-        lock_unpoisoned(&self.map)
+    /// Every mutation under this lock is a single map operation, so a
+    /// panicked sharer cannot leave the map torn: recover from poison.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Slot>> {
+        lock_unpoisoned(&self.slots)
     }
 
     fn next_tick(&self) -> u64 {
@@ -250,7 +264,6 @@ impl PlanCache {
     /// Number of `Ready` plans held (in-flight slots excluded).
     pub fn len(&self) -> usize {
         self.lock()
-            .slots
             .values()
             .filter(|s| matches!(s, Slot::Ready(_)))
             .count()
@@ -274,157 +287,103 @@ impl PlanCache {
         self.stale_evictions.load(Ordering::Relaxed)
     }
 
-    /// Plans marked for re-validation because a base table they touch had
-    /// its sample refreshed, lifetime total.
+    /// Plans handed out for re-validation because a base table they touch
+    /// had its sample redrawn since they were validated, lifetime total.
     pub fn table_evictions(&self) -> u64 {
         // lint: relaxed-ok(monotonic telemetry counter; never read to make a control decision)
         self.table_evictions.load(Ordering::Relaxed)
     }
 
     /// Drop every `Ready` entry (in-flight computations are left to land;
-    /// their results stay usable — they carry their own version).
+    /// their results stay usable — they carry their own versions).
     pub fn clear(&self) {
-        let mut map = self.lock();
-        map.slots.retain(|_, s| matches!(s, Slot::InFlight(_)));
-        map.by_table.clear();
-        // A full flush supersedes any pending surgical marks: in-flight
-        // results carry their (now old) stats version and will be stale-
-        // evicted lazily on next touch.
-        map.pending_revalidate.clear();
+        self.lock().retain(|_, s| matches!(s, Slot::InFlight(_)));
     }
 
-    /// Surgical reaction to a partial sample refresh: mark every `Ready`
-    /// entry touching one of `tables` for re-validation (the entry stays
-    /// resident — its next admission returns [`Admission::Revalidate`]),
-    /// and mark every in-flight computation too: a leader mid-flight
-    /// validated against the *pre*-refresh samples, yet its result lands
-    /// under an unchanged stats version, so without the mark it would read
-    /// as fresh forever. Plans over untouched tables are not perturbed.
-    /// Returns the number of plans newly marked.
-    pub fn evict_tables(&self, tables: &[TableId]) -> u64 {
-        let mut map = self.lock();
-        let mut fps: BTreeSet<u64> = BTreeSet::new();
-        for t in tables {
-            if let Some(set) = map.by_table.get(t) {
-                fps.extend(set.iter().copied());
+    /// Admission control for `fingerprint` under `stats_version` and the
+    /// admitting snapshot (its data version `at` and per-table sample
+    /// versions) — decides hit / wait / lead / re-validate atomically (one
+    /// map lock). `self` is taken as `Arc` because a leading admission
+    /// hands the cache to the guard.
+    pub(crate) fn begin(
+        self: &Arc<Self>,
+        fingerprint: u64,
+        stats_version: u64,
+        at: DataVersion,
+        sample_version: impl Fn(TableId) -> Option<DataVersion>,
+    ) -> Admission {
+        let mut slots = self.lock();
+        let lead = |slots: &mut BTreeMap<u64, Slot>| {
+            let flight = Arc::new(Flight::default());
+            slots.insert(fingerprint, Slot::InFlight(Arc::clone(&flight)));
+            LeadGuard {
+                cache: Arc::clone(self),
+                fingerprint,
+                flight,
+                completed: false,
             }
-        }
-        let mut marked = 0u64;
-        for fp in fps {
-            if let Some(Slot::Ready(entry)) = map.slots.get_mut(&fp) {
-                if !entry.revalidate {
-                    entry.revalidate = true;
-                    marked += 1;
-                }
-            }
-        }
-        let in_flight: Vec<u64> = map
-            .slots
-            .iter()
-            .filter_map(|(fp, s)| matches!(s, Slot::InFlight(_)).then_some(*fp))
-            .collect();
-        for fp in in_flight {
-            if map.pending_revalidate.insert(fp) {
-                marked += 1;
-            }
-        }
-        // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the marks it counts)
-        self.table_evictions.fetch_add(marked, Ordering::Relaxed);
-        marked
-    }
-
-    /// Admission control for `fingerprint` under `stats_version` — decides
-    /// hit / wait / lead atomically (one map lock). `self` is taken as
-    /// `Arc` because a `Lead` admission hands the cache to the guard.
-    pub(crate) fn begin(self: &Arc<Self>, fingerprint: u64, stats_version: u64) -> Admission {
-        let mut map = self.lock();
+        };
+        let entry = match slots.get_mut(&fingerprint) {
+            None => return Admission::Lead(lead(&mut slots)),
+            Some(Slot::InFlight(flight)) => return Admission::Wait(Arc::clone(flight)),
+            Some(Slot::Ready(entry)) => entry,
+        };
         // Entries *older* than the caller's version are evicted before
-        // admission so the fall-through below re-optimizes them. Strictly
-        // older, not different: a session that snapshotted the version
-        // just before a bump may race a neighbor that already cached the
-        // post-bump plan, and evicting that fresher entry would waste a
-        // whole re-optimization only to re-insert an already-stale plan.
-        // A full flush wins over a surgical mark: the removed entry is
-        // gone, not offered for re-validation.
-        if let Some(Slot::Ready(entry)) = map.slots.get(&fingerprint) {
-            if entry.cached.stats_version < stats_version {
-                map.remove_ready(fingerprint);
-                // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the eviction it counts)
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        // admission and re-optimized. Strictly older, not different: a
+        // session that snapshotted the version just before a bump may race
+        // a neighbor that already cached the post-bump plan, and evicting
+        // that fresher entry would waste a whole re-optimization only to
+        // re-insert an already-stale plan. A full flush wins over stale
+        // samples: the entry is gone, not offered for re-validation.
+        if entry.cached.stats_version < stats_version {
+            // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the eviction it counts)
+            self.stale_evictions.fetch_add(1, Ordering::Relaxed);
+            return Admission::Lead(lead(&mut slots));
         }
-        // A surgically-marked entry leads a re-validation flight: the
-        // stale plan travels with the guard, the slot flips to in-flight
-        // so concurrent arrivals wait for one verdict instead of each
-        // re-validating.
-        if matches!(map.slots.get(&fingerprint), Some(Slot::Ready(e)) if e.revalidate) {
-            if let Some(entry) = map.remove_ready(fingerprint) {
-                let flight = Arc::new(Flight::default());
-                map.slots
-                    .insert(fingerprint, Slot::InFlight(Arc::clone(&flight)));
-                return Admission::Revalidate {
-                    guard: LeadGuard {
-                        cache: Arc::clone(self),
-                        fingerprint,
-                        flight,
-                        completed: false,
-                    },
-                    stale: entry.cached,
-                };
-            }
-        }
-        match map.slots.get_mut(&fingerprint) {
-            Some(Slot::InFlight(flight)) => Admission::Wait(Arc::clone(flight)),
-            Some(Slot::Ready(entry)) => {
+        match entry.cached.freshness(at, sample_version) {
+            Freshness::Current => {
                 entry.last_used = self.next_tick();
                 Admission::Hit(entry.cached.clone())
             }
-            None => {
-                let flight = Arc::new(Flight::default());
-                map.slots
-                    .insert(fingerprint, Slot::InFlight(Arc::clone(&flight)));
-                Admission::Lead(LeadGuard {
-                    cache: Arc::clone(self),
-                    fingerprint,
-                    flight,
-                    completed: false,
-                })
+            // The stale plan travels with the guard and the slot flips to
+            // in-flight, so concurrent arrivals wait for one verdict
+            // instead of each re-validating.
+            Freshness::Stale => {
+                let stale = entry.cached.clone();
+                // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the hand-out it counts)
+                self.table_evictions.fetch_add(1, Ordering::Relaxed);
+                Admission::Revalidate {
+                    guard: lead(&mut slots),
+                    stale,
+                }
             }
+            Freshness::Ahead => Admission::Behind,
         }
     }
 
     fn finish_flight(&self, fingerprint: u64, flight: &Arc<Flight>, result: Result<CachedPlan>) {
         {
-            let mut map = self.lock();
+            let mut slots = self.lock();
             // Only touch the slot if it still belongs to this flight — a
             // failed leader's slot may have been re-claimed by a retry.
             let ours = matches!(
-                map.slots.get(&fingerprint),
+                slots.get(&fingerprint),
                 Some(Slot::InFlight(f)) if Arc::ptr_eq(f, flight)
             );
             if ours {
                 match &result {
                     Ok(cached) => {
-                        // A surgical refresh that raced this flight left a
-                        // pending mark: the fresh entry starts life
-                        // needing re-validation.
-                        let revalidate = map.pending_revalidate.remove(&fingerprint);
-                        for t in &cached.base_tables {
-                            map.by_table.entry(*t).or_default().insert(fingerprint);
-                        }
-                        map.slots.insert(
+                        slots.insert(
                             fingerprint,
                             Slot::Ready(Entry {
                                 cached: cached.clone(),
                                 last_used: self.next_tick(),
-                                revalidate,
                             }),
                         );
-                        self.evict_over_capacity(&mut map);
+                        self.evict_over_capacity(&mut slots);
                     }
                     Err(_) => {
-                        map.slots.remove(&fingerprint);
-                        map.pending_revalidate.remove(&fingerprint);
+                        slots.remove(&fingerprint);
                     }
                 }
             }
@@ -437,10 +396,9 @@ impl PlanCache {
     /// evicted — a waiter holds a flight reference, not a map reference,
     /// so eviction could strand nobody anyway, but the leader's pending
     /// insert must not be raced away.
-    fn evict_over_capacity(&self, map: &mut CacheMap) {
+    fn evict_over_capacity(&self, slots: &mut BTreeMap<u64, Slot>) {
         loop {
-            let ready = map
-                .slots
+            let ready = slots
                 .iter()
                 .filter_map(|(fp, s)| match s {
                     Slot::Ready(e) => Some((*fp, e.last_used)),
@@ -451,7 +409,7 @@ impl PlanCache {
                 return;
             }
             if let Some(&(victim, _)) = ready.iter().min_by_key(|(_, used)| *used) {
-                map.remove_ready(victim);
+                slots.remove(&victim);
                 // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the eviction it counts)
                 self.lru_evictions.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -481,12 +439,20 @@ mod tests {
             reopt_time: Duration::ZERO,
             stats_version: 0,
             validated_cost: 1.0,
-            base_tables: vec![TableId::new(rel)],
+            data_version: DataVersion::ZERO,
+            sampled_at: vec![(TableId::new(rel), DataVersion::ZERO)],
         }
     }
 
+    /// Admission under a snapshot at data version `v` whose every sample
+    /// was drawn at `v`.
+    fn begin_at(cache: &Arc<PlanCache>, fp: u64, stats_version: u64, v: u64) -> Admission {
+        let v = DataVersion::new(v);
+        cache.begin(fp, stats_version, v, |_| Some(v))
+    }
+
     fn lead(cache: &Arc<PlanCache>, fp: u64) -> LeadGuard {
-        match cache.begin(fp, 0) {
+        match begin_at(cache, fp, 0, 0) {
             Admission::Lead(g) => g,
             other => panic!("expected Lead for {fp}, got {other:?}"),
         }
@@ -496,7 +462,7 @@ mod tests {
     fn first_arrival_leads_then_hits() {
         let cache = Arc::new(PlanCache::new(8));
         lead(&cache, 1).complete(Ok(plan(0)));
-        match cache.begin(1, 0) {
+        match begin_at(&cache, 1, 0, 0) {
             Admission::Hit(c) => assert_eq!(c.rounds, 1),
             other => panic!("expected Hit, got {other:?}"),
         }
@@ -507,7 +473,7 @@ mod tests {
     fn concurrent_arrivals_wait_for_the_leader() {
         let cache = Arc::new(PlanCache::new(8));
         let guard = lead(&cache, 7);
-        let waiter = match cache.begin(7, 0) {
+        let waiter = match begin_at(&cache, 7, 0, 0) {
             Admission::Wait(f) => f,
             other => panic!("expected Wait, got {other:?}"),
         };
@@ -521,14 +487,14 @@ mod tests {
     fn failed_leader_frees_the_slot_and_propagates() {
         let cache = Arc::new(PlanCache::new(8));
         let guard = lead(&cache, 9);
-        let waiter = match cache.begin(9, 0) {
+        let waiter = match begin_at(&cache, 9, 0, 0) {
             Admission::Wait(f) => f,
             other => panic!("expected Wait, got {other:?}"),
         };
         guard.complete(Err(Error::invalid("no relations")));
         assert!(matches!(waiter.wait(), Err(Error::Invalid(_))));
         // Slot freed: the next arrival retries as leader.
-        assert!(matches!(cache.begin(9, 0), Admission::Lead(_)));
+        assert!(matches!(begin_at(&cache, 9, 0, 0), Admission::Lead(_)));
         assert_eq!(cache.len(), 0);
     }
 
@@ -536,14 +502,14 @@ mod tests {
     fn abandoned_leader_publishes_a_retryable_error() {
         let cache = Arc::new(PlanCache::new(8));
         let guard = lead(&cache, 3);
-        let waiter = match cache.begin(3, 0) {
+        let waiter = match begin_at(&cache, 3, 0, 0) {
             Admission::Wait(f) => f,
             other => panic!("expected Wait, got {other:?}"),
         };
         drop(guard); // leader "panicked"
         let err = waiter.wait().unwrap_err();
         assert!(err.is_retryable(), "{err}");
-        assert!(matches!(cache.begin(3, 0), Admission::Lead(_)));
+        assert!(matches!(begin_at(&cache, 3, 0, 0), Admission::Lead(_)));
     }
 
     #[test]
@@ -552,12 +518,15 @@ mod tests {
         lead(&cache, 1).complete(Ok(plan(1)));
         lead(&cache, 2).complete(Ok(plan(2)));
         // Touch 1 so 2 is the coldest.
-        assert!(matches!(cache.begin(1, 0), Admission::Hit(_)));
+        assert!(matches!(begin_at(&cache, 1, 0, 0), Admission::Hit(_)));
         lead(&cache, 3).complete(Ok(plan(3)));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.lru_evictions(), 1);
-        assert!(matches!(cache.begin(2, 0), Admission::Lead(_)), "2 evicted");
-        match cache.begin(1, 0) {
+        assert!(
+            matches!(begin_at(&cache, 2, 0, 0), Admission::Lead(_)),
+            "2 evicted"
+        );
+        match begin_at(&cache, 1, 0, 0) {
             Admission::Hit(_) => {}
             other => panic!("1 should have survived, got {other:?}"),
         }
@@ -569,18 +538,18 @@ mod tests {
         let guard = lead(&cache, 10); // in-flight, exempt from capacity
         lead(&cache, 11).complete(Ok(plan(1)));
         lead(&cache, 12).complete(Ok(plan(2))); // evicts 11
-        assert!(matches!(cache.begin(10, 0), Admission::Wait(_)));
+        assert!(matches!(begin_at(&cache, 10, 0, 0), Admission::Wait(_)));
         guard.complete(Ok(plan(0)));
-        assert!(matches!(cache.begin(10, 0), Admission::Hit(_)));
+        assert!(matches!(begin_at(&cache, 10, 0, 0), Admission::Hit(_)));
     }
 
     #[test]
     fn stale_version_forces_a_new_leader() {
         let cache = Arc::new(PlanCache::new(8));
         lead(&cache, 5).complete(Ok(plan(0)));
-        assert!(matches!(cache.begin(5, 0), Admission::Hit(_)));
+        assert!(matches!(begin_at(&cache, 5, 0, 0), Admission::Hit(_)));
         // Version bump: the entry is lazily evicted, caller leads again.
-        assert!(matches!(cache.begin(5, 1), Admission::Lead(_)));
+        assert!(matches!(begin_at(&cache, 5, 1, 0), Admission::Lead(_)));
         assert_eq!(cache.stale_evictions(), 1);
     }
 
@@ -595,7 +564,7 @@ mod tests {
             ..plan(0)
         };
         lead(&cache, 6).complete(Ok(newer));
-        match cache.begin(6, 0) {
+        match begin_at(&cache, 6, 0, 0) {
             Admission::Hit(c) => assert_eq!(c.stats_version, 1),
             other => panic!("straggler must warm-hit, got {other:?}"),
         }
@@ -603,63 +572,101 @@ mod tests {
     }
 
     #[test]
-    fn evict_tables_marks_only_touching_plans() {
+    fn a_redrawn_sample_revalidates_only_touching_plans() {
         let cache = Arc::new(PlanCache::new(8));
         lead(&cache, 1).complete(Ok(plan(0))); // touches table 0
         lead(&cache, 2).complete(Ok(plan(1))); // touches table 1
-        assert_eq!(cache.evict_tables(&[TableId::new(0)]), 1);
-        assert_eq!(cache.table_evictions(), 1);
+
+        // A snapshot in which only table 0's sample was redrawn (at v3).
+        let refreshed =
+            |t: TableId| Some(DataVersion::new(if t == TableId::new(0) { 3 } else { 0 }));
         // The untouched template keeps warm-hitting…
-        assert!(matches!(cache.begin(2, 0), Admission::Hit(_)));
+        assert!(matches!(
+            cache.begin(2, 0, DataVersion::new(3), refreshed),
+            Admission::Hit(_)
+        ));
         // …while the touched one leads a re-validation flight carrying
         // the stale plan.
-        match cache.begin(1, 0) {
+        match cache.begin(1, 0, DataVersion::new(3), refreshed) {
             Admission::Revalidate { guard, stale } => {
-                assert_eq!(stale.base_tables, vec![TableId::new(0)]);
+                assert_eq!(stale.sampled_at, vec![(TableId::new(0), DataVersion::ZERO)]);
                 // Concurrent arrivals wait on the verdict.
-                assert!(matches!(cache.begin(1, 0), Admission::Wait(_)));
-                // Re-admission makes it a plain hit again.
-                guard.complete(Ok(stale));
+                assert!(matches!(
+                    cache.begin(1, 0, DataVersion::new(3), refreshed),
+                    Admission::Wait(_)
+                ));
+                // Re-admission under the fresh sample makes it a plain hit.
+                guard.complete(Ok(CachedPlan {
+                    data_version: DataVersion::new(3),
+                    sampled_at: vec![(TableId::new(0), DataVersion::new(3))],
+                    ..stale
+                }));
             }
             other => panic!("expected Revalidate, got {other:?}"),
         }
-        assert!(matches!(cache.begin(1, 0), Admission::Hit(_)));
-        // Marking is idempotent per mark: re-marking an already-marked
-        // plan counts nothing new.
-        cache.evict_tables(&[TableId::new(0)]);
-        cache.evict_tables(&[TableId::new(0)]);
-        assert_eq!(cache.table_evictions(), 2);
+        assert!(matches!(
+            cache.begin(1, 0, DataVersion::new(3), refreshed),
+            Admission::Hit(_)
+        ));
+        assert_eq!(cache.table_evictions(), 1);
     }
 
     #[test]
-    fn evict_tables_marks_in_flight_computations() {
-        // A leader that was admitted before the refresh validated against
-        // the old samples but lands under the same stats version — it
-        // must not read as fresh.
+    fn a_flight_that_lands_after_a_refresh_reads_as_stale() {
+        // A leader admitted before the refresh validated against the old
+        // samples; its result lands afterwards under an unchanged stats
+        // version. Freshness is a function of the admitting snapshot, so
+        // nobody has to mark it: the first post-refresh admission sees it.
         let cache = Arc::new(PlanCache::new(8));
         let guard = lead(&cache, 4);
-        assert_eq!(cache.evict_tables(&[TableId::new(9)]), 1);
         guard.complete(Ok(plan(0)));
-        assert!(matches!(cache.begin(4, 0), Admission::Revalidate { .. }));
+        assert!(matches!(
+            begin_at(&cache, 4, 0, 1),
+            Admission::Revalidate { .. }
+        ));
     }
 
     #[test]
-    fn full_flush_wins_over_a_surgical_mark() {
+    fn a_reader_behind_the_entry_is_sent_back_for_a_newer_snapshot() {
+        let cache = Arc::new(PlanCache::new(8));
+        lead(&cache, 4).complete(Ok(CachedPlan {
+            data_version: DataVersion::new(2),
+            ..plan(0)
+        }));
+        // Pairing a plan computed at v2 with the v1 snapshot would hand out
+        // a (cost, data version) no single version explains — even though
+        // the samples did not move in between.
+        let unmoved = |_| Some(DataVersion::ZERO);
+        assert!(matches!(
+            cache.begin(4, 0, DataVersion::new(1), unmoved),
+            Admission::Behind
+        ));
+        assert!(matches!(
+            cache.begin(4, 0, DataVersion::new(2), unmoved),
+            Admission::Hit(_)
+        ));
+        assert_eq!(cache.table_evictions(), 0);
+    }
+
+    #[test]
+    fn a_table_the_snapshot_never_sampled_reads_as_stale() {
+        let cache = Arc::new(PlanCache::new(8));
+        lead(&cache, 4).complete(Ok(plan(0)));
+        assert!(matches!(
+            cache.begin(4, 0, DataVersion::ZERO, |_| None),
+            Admission::Revalidate { .. }
+        ));
+    }
+
+    #[test]
+    fn full_flush_wins_over_a_stale_sample() {
         let cache = Arc::new(PlanCache::new(8));
         lead(&cache, 5).complete(Ok(plan(0)));
-        cache.evict_tables(&[TableId::new(0)]);
-        // Version bump: the marked entry is dropped outright, not offered
-        // for re-validation against stats it can't survive.
-        assert!(matches!(cache.begin(5, 1), Admission::Lead(_)));
+        // Version bump: the entry is dropped outright, not offered for
+        // re-validation against stats it can't survive.
+        assert!(matches!(begin_at(&cache, 5, 1, 1), Admission::Lead(_)));
         assert_eq!(cache.stale_evictions(), 1);
-    }
-
-    #[test]
-    fn evict_tables_ignores_untracked_tables() {
-        let cache = Arc::new(PlanCache::new(8));
-        lead(&cache, 1).complete(Ok(plan(0)));
-        assert_eq!(cache.evict_tables(&[TableId::new(42)]), 0);
-        assert!(matches!(cache.begin(1, 0), Admission::Hit(_)));
+        assert_eq!(cache.table_evictions(), 0);
     }
 
     #[test]
@@ -669,7 +676,7 @@ mod tests {
         let guard = lead(&cache, 2);
         cache.clear();
         assert_eq!(cache.len(), 0);
-        assert!(matches!(cache.begin(2, 0), Admission::Wait(_)));
+        assert!(matches!(begin_at(&cache, 2, 0, 0), Admission::Wait(_)));
         guard.complete(Ok(plan(0)));
         assert_eq!(cache.len(), 1);
     }

@@ -15,6 +15,12 @@
 //! * **LRU + staleness eviction** — the cache is capacity-bounded, and a
 //!   statistics refresh ([`QueryService::bump_stats_version`]) lazily
 //!   invalidates every plan computed under the old statistics.
+//! * **Snapshots** — the service's state (database, statistics, samples,
+//!   drift baseline) is an immutable snapshot behind one `Arc`: a request
+//!   loads it once and plans and executes against it alone, while ingest
+//!   derives a successor off to the side and publishes it in one pointer
+//!   swap ([`ingest`]). [`ServiceResponse::data_version`] names the
+//!   snapshot a response was admitted under.
 //! * **Shared sampling state** — cold misses on *different* templates
 //!   pool their dry-run work through one
 //!   [`reopt_sampling::SharedSampleRunCache`], so a subtree validated for

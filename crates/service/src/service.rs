@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cache::{Admission, CachedPlan, LeadGuard, PlanCache};
+use crate::cache::{Admission, CachedPlan, Freshness, LeadGuard, PlanCache};
 use crate::ingest::DriftConfig;
 use reopt_common::{lock_unpoisoned, Result, Stopwatch, TableId};
 use reopt_core::{MidQueryStats, ReOptConfig, ReoptEngine};
@@ -13,12 +13,12 @@ use reopt_optimizer::OptimizerConfig;
 use reopt_plan::{PhysicalPlan, Query, QueryTemplate};
 use reopt_sampling::{SampleCacheStats, SampleConfig, SharedSampleRunCache};
 use reopt_stats::{AnalyzeOpts, DatabaseStats};
-use reopt_storage::Database;
+use reopt_storage::{DataVersion, Database};
 use reopt_telemetry::{
     env_trace_default, names, LatencySummary, MetricsRegistry, QueryTrace, TelemetrySnapshot,
     Tracer,
 };
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
@@ -101,6 +101,10 @@ pub struct ServiceResponse {
     pub validated_cost: f64,
     /// Service-side latency of *this* submission, admission to response.
     pub latency: Duration,
+    /// The [`DataVersion`] of the snapshot this submission was admitted
+    /// under: the plan was served (and, by [`QueryService::execute`], run)
+    /// against exactly that committed data state.
+    pub data_version: DataVersion,
     /// The finished span trace of this submission, present iff tracing was
     /// on (see [`ServiceConfig::trace`]) and the trace was not claimed by
     /// an enclosing [`QueryService::execute`] (which attaches the combined
@@ -130,8 +134,8 @@ pub struct ServiceStats {
     pub lru_evictions: u64,
     /// Plans evicted because statistics moved underneath them.
     pub stale_evictions: u64,
-    /// Plans marked for re-validation because a base table they touch had
-    /// its sample surgically refreshed.
+    /// Plans handed out for re-validation because a base table they touch
+    /// had its sample surgically refreshed since they were validated.
     pub table_evictions: u64,
     /// Cached-plan re-validations attempted (dry run + re-cost, no loop).
     pub revalidations: u64,
@@ -150,20 +154,15 @@ pub struct ServiceStats {
     pub latency: LatencySummary,
 }
 
-/// A thread-safe query service over one database: many sessions submit
-/// queries concurrently; the service answers each with a physical plan,
-/// re-optimizing at most once per query template per statistics version.
-///
-/// All methods take `&self`; wrap the service in an `Arc` and hand clones
-/// to your session threads (or use [`QueryService::session`]).
-/// The mutable heart of the service: the engine (data + statistics +
-/// samples) and the statistics *baseline* the resident cached plans were
-/// last validated against. Swapped atomically under one mutex by the
-/// ingest path; submissions take a cheap snapshot (a handful of `Arc`
-/// clones) at admission, so in-flight queries keep the exact data state
-/// they were admitted under.
+/// One immutable, versioned state of the service: the engine (data +
+/// statistics + samples) and the statistics *baseline* the resident cached
+/// plans were last validated against. Everything in it is a function of
+/// one [`DataVersion`]; it is never mutated, only replaced as a unit (see
+/// [`crate::ingest`]). A submission loads one snapshot at admission and
+/// plans, caches and executes against it alone, so in-flight queries keep
+/// the exact data state they were admitted under.
 #[derive(Debug)]
-pub(crate) struct EngineState {
+pub(crate) struct Snapshot {
     pub(crate) engine: ReoptEngine,
     /// Statistics the cached plans' validations are anchored to — drift is
     /// measured baseline → fresh, not last-ingest → fresh, so many small
@@ -171,9 +170,48 @@ pub(crate) struct EngineState {
     pub(crate) baseline: Arc<DatabaseStats>,
 }
 
+impl Snapshot {
+    /// The one [`DataVersion`] everything in this snapshot derives from.
+    pub(crate) fn data_version(&self) -> DataVersion {
+        self.engine.data_version()
+    }
+
+    /// The version of this snapshot's sample of `table` — what cached-plan
+    /// freshness is compared against (see [`crate::cache`]).
+    fn sample_version(&self, table: TableId) -> Option<DataVersion> {
+        self.engine.samples().table_version(table).ok()
+    }
+
+    /// `tables`, each stamped with the version of this snapshot's sample
+    /// of it.
+    fn sampled_at(
+        &self,
+        tables: impl IntoIterator<Item = TableId>,
+    ) -> Result<Vec<(TableId, DataVersion)>> {
+        tables
+            .into_iter()
+            .map(|t| Ok((t, self.engine.samples().table_version(t)?)))
+            .collect()
+    }
+}
+
+/// A thread-safe query service over one database: many sessions submit
+/// queries concurrently; the service answers each with a physical plan,
+/// re-optimizing at most once per query template per statistics version.
+///
+/// All methods take `&self`; wrap the service in an `Arc` and hand clones
+/// to your session threads (or use [`QueryService::session`]).
 #[derive(Debug)]
 pub struct QueryService {
-    pub(crate) state: Mutex<EngineState>,
+    /// The published snapshot. This lock guards exactly one `Arc` clone
+    /// (readers) or one pointer swap (publish) — never work proportional
+    /// to a table, a batch or a cache.
+    live: Mutex<Arc<Snapshot>>,
+    /// Serializes writers (ingest, full refresh) so no two derive
+    /// `DataVersion` N+1 from the same N. Readers never take it. The
+    /// payload is `()`: a writer that panics leaves nothing torn behind
+    /// it, so the poison is recovered.
+    writer: Mutex<()>,
     plans: Arc<PlanCache>,
     sample_cache: SharedSampleRunCache,
     exec_opts: ExecOpts,
@@ -201,7 +239,8 @@ impl QueryService {
         config.drift.validate()?;
         let baseline = Arc::clone(engine.stats());
         Ok(QueryService {
-            state: Mutex::new(EngineState { engine, baseline }),
+            live: Mutex::new(Arc::new(Snapshot { engine, baseline })),
+            writer: Mutex::new(()),
             plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
             sample_cache: SharedSampleRunCache::new(),
             exec_opts: config.exec,
@@ -241,22 +280,46 @@ impl QueryService {
         Self::new(engine, config)
     }
 
-    /// A snapshot of the engine the service currently plans with. Owned
-    /// (a few `Arc` clones): the ingest path swaps the live engine
-    /// underneath, and a snapshot keeps reading its own consistent
-    /// (database, statistics, samples) triple.
+    /// Load the published snapshot: one `Arc` clone under the `live` lock.
+    pub(crate) fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&lock_unpoisoned(&self.live))
+    }
+
+    /// Enter the writer section: serialize against every other writer and
+    /// load the snapshot the next one must be derived from (stable until
+    /// this writer publishes — nobody else can).
+    pub(crate) fn begin_write(&self) -> (MutexGuard<'_, ()>, Arc<Snapshot>) {
+        let writer = lock_unpoisoned(&self.writer);
+        let base = self.snapshot();
+        (writer, base)
+    }
+
+    /// Replace the published snapshot — the single step by which an
+    /// ingest becomes visible. `_writer` witnesses that the caller holds
+    /// the writer section. The superseded snapshot is released after the
+    /// `live` lock, so freeing it never delays a reader.
+    pub(crate) fn publish(&self, _writer: &MutexGuard<'_, ()>, next: Snapshot) {
+        let next = Arc::new(next);
+        let superseded = std::mem::replace(&mut *lock_unpoisoned(&self.live), next);
+        drop(superseded);
+    }
+
+    /// A copy of the engine the service currently plans with. Owned (a few
+    /// `Arc` clones): the ingest path publishes new snapshots underneath,
+    /// and a copy keeps reading its own consistent (database, statistics,
+    /// samples) triple.
     pub fn engine(&self) -> ReoptEngine {
-        lock_unpoisoned(&self.state).engine.clone()
+        self.snapshot().engine.clone()
     }
 
     /// The database snapshot the service currently serves.
     pub fn database(&self) -> Arc<Database> {
-        Arc::clone(lock_unpoisoned(&self.state).engine.db())
+        Arc::clone(self.snapshot().engine.db())
     }
 
     /// The statistics the optimizer currently plans against.
     pub fn database_stats(&self) -> Arc<DatabaseStats> {
-        Arc::clone(lock_unpoisoned(&self.state).engine.stats())
+        Arc::clone(self.snapshot().engine.stats())
     }
 
     /// Submit one query. Thread-safe; blocks only when another session is
@@ -279,12 +342,19 @@ impl QueryService {
     /// trace (so [`ServiceResponse::trace`] stays `None`). This is how
     /// [`QueryService::execute`] nests admission spans under its own root.
     pub fn submit_with_tracer(&self, query: &Query, tracer: &Tracer) -> Result<ServiceResponse> {
+        self.admit(query, tracer).map(|(response, _)| response)
+    }
+
+    /// Admission proper: the response plus the snapshot it was admitted
+    /// under, so [`QueryService::execute`] runs the plan on the very data
+    /// state it was chosen for.
+    fn admit(&self, query: &Query, tracer: &Tracer) -> Result<(ServiceResponse, Arc<Snapshot>)> {
         let t0 = Stopwatch::start();
         // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        let r = self.submit_inner(query, t0, tracer);
+        let r = self.admit_inner(query, t0, tracer);
         match &r {
-            Ok(resp) => self
+            Ok((resp, _)) => self
                 .registry
                 .observe_micros("service.submit_us", micros(resp.latency)),
             Err(_) => {
@@ -295,137 +365,162 @@ impl QueryService {
         r
     }
 
-    fn submit_inner(
+    fn admit_inner(
         &self,
         query: &Query,
         t0: Stopwatch,
         tracer: &Tracer,
-    ) -> Result<ServiceResponse> {
+    ) -> Result<(ServiceResponse, Arc<Snapshot>)> {
         let mut root = tracer.span(names::SERVICE_SUBMIT);
         let sub = tracer.under(&root);
-        // One engine snapshot per submission: everything below — validation,
-        // re-optimization, caching — sees a single consistent data state
-        // even if an ingest swaps the live engine mid-flight.
-        let engine = self.engine();
-        // Validate up front: a malformed query must fail identically
-        // whether its template is cached or not.
-        query.validate(engine.db())?;
         let tmpl = QueryTemplate::of(query);
         let template = tmpl.fingerprint();
-        let version = self.stats_version.load(Ordering::Acquire);
-        let mut adm_span = sub.span(names::SERVICE_ADMISSION);
-        if adm_span.is_recording() {
-            adm_span.attr_u64("template", template);
-            adm_span.attr_u64("stats_version", version);
-        }
-        let out = match self.plans.begin(template, version) {
-            Admission::Hit(cached) => {
-                adm_span.attr_str("source", "warm_hit");
-                drop(adm_span);
-                // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                self.registry.add("service.warm_hits", 1);
-                Ok(respond(cached, PlanSource::WarmHit, template, t0))
+        let (cached, source, snap) = loop {
+            // One snapshot per attempt: everything below — validation,
+            // admission, re-optimization, caching — sees a single
+            // consistent data state even if an ingest publishes mid-flight.
+            let snap = self.snapshot();
+            // Validate up front: a malformed query must fail identically
+            // whether its template is cached or not.
+            query.validate(snap.engine.db())?;
+            let version = self.stats_version.load(Ordering::Acquire);
+            let mut adm_span = sub.span(names::SERVICE_ADMISSION);
+            if adm_span.is_recording() {
+                adm_span.attr_u64("template", template);
+                adm_span.attr_u64("stats_version", version);
             }
-            Admission::Wait(flight) => {
-                adm_span.attr_str("source", "coalesced");
-                // The wait on the leading session's re-optimization stays
-                // inside the admission span: its duration is this
-                // submission's admission cost.
-                let cached = flight.wait()?;
-                drop(adm_span);
-                // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.registry.add("service.coalesced", 1);
-                Ok(respond(cached, PlanSource::Coalesced, template, t0))
-            }
-            Admission::Lead(guard) => {
-                adm_span.attr_str("source", "cold_miss");
-                drop(adm_span);
-                self.lead_reoptimize(query, &engine, &tmpl, version, guard, &sub, t0)
-            }
-            Admission::Revalidate { guard, stale } => {
-                adm_span.attr_str("source", "revalidate");
-                drop(adm_span);
-                // Cheapest tier first: one dry run of the stale plan. On
-                // acceptance the plan is re-admitted under the fresh
-                // samples; otherwise (ratio unset, dry-run error, or cost
-                // moved too far) fall through to a full re-optimization —
-                // the guard transfers, so waiters still get one verdict.
-                match self.try_revalidate(query, &engine, &stale, version, &sub) {
-                    Some(cached) => {
-                        guard.complete(Ok(cached.clone()));
-                        // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                        self.revalidations_saved.fetch_add(1, Ordering::Relaxed);
-                        self.registry.add("plan_cache.revalidations_saved", 1);
-                        Ok(respond(cached, PlanSource::Revalidated, template, t0))
-                    }
-                    None => self.lead_reoptimize(query, &engine, &tmpl, version, guard, &sub, t0),
+            let at = snap.data_version();
+            let admission = self
+                .plans
+                .begin(template, version, at, |t| snap.sample_version(t));
+            let (cached, source) = match admission {
+                Admission::Hit(cached) => {
+                    adm_span.attr_str("source", "warm_hit");
+                    drop(adm_span);
+                    // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
+                    self.warm_hits.fetch_add(1, Ordering::Relaxed);
+                    self.registry.add("service.warm_hits", 1);
+                    (cached, PlanSource::WarmHit)
                 }
-            }
+                Admission::Wait(flight) => {
+                    adm_span.attr_str("source", "coalesced");
+                    // The wait on the leading session's re-optimization
+                    // stays inside the admission span: its duration is
+                    // this submission's admission cost.
+                    let cached = flight.wait()?;
+                    // The leader may hold another snapshot than this
+                    // session; only a verdict reached on this snapshot's
+                    // samples may be paired with it.
+                    if cached.freshness(at, |t| snap.sample_version(t)) != Freshness::Current {
+                        continue;
+                    }
+                    drop(adm_span);
+                    // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.registry.add("service.coalesced", 1);
+                    (cached, PlanSource::Coalesced)
+                }
+                Admission::Lead(guard) => {
+                    adm_span.attr_str("source", "cold_miss");
+                    drop(adm_span);
+                    let cached = self.lead_reoptimize(query, &snap, &tmpl, version, guard, &sub)?;
+                    (cached, PlanSource::ColdMiss)
+                }
+                Admission::Revalidate { guard, stale } => {
+                    adm_span.attr_str("source", "revalidate");
+                    drop(adm_span);
+                    // Cheapest tier first: one dry run of the stale plan.
+                    // On acceptance the plan is re-admitted under the
+                    // fresh samples; otherwise (ratio unset, dry-run
+                    // error, or cost moved too far) fall through to a full
+                    // re-optimization — the guard transfers, so waiters
+                    // still get one verdict.
+                    match self.try_revalidate(query, &snap, &stale, version, &sub) {
+                        Some(cached) => {
+                            guard.complete(Ok(cached.clone()));
+                            // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
+                            self.revalidations_saved.fetch_add(1, Ordering::Relaxed);
+                            self.registry.add("plan_cache.revalidations_saved", 1);
+                            (cached, PlanSource::Revalidated)
+                        }
+                        None => {
+                            let cached =
+                                self.lead_reoptimize(query, &snap, &tmpl, version, guard, &sub)?;
+                            (cached, PlanSource::ColdMiss)
+                        }
+                    }
+                }
+                // Each retry holds a strictly newer snapshot than the
+                // last (the entry that sent us back proves one exists).
+                Admission::Behind => continue,
+            };
+            break (cached, source, snap);
         };
         if root.is_recording() {
-            if let Ok(resp) = &out {
-                root.attr_u64("template", template);
-                root.attr_str(
-                    "source",
-                    match resp.source {
-                        PlanSource::ColdMiss => "cold_miss",
-                        PlanSource::WarmHit => "warm_hit",
-                        PlanSource::Coalesced => "coalesced",
-                        PlanSource::Revalidated => "revalidated",
-                    },
-                );
-                root.attr_u64("rounds", resp.rounds as u64);
-            }
+            root.attr_u64("template", template);
+            root.attr_str(
+                "source",
+                match source {
+                    PlanSource::ColdMiss => "cold_miss",
+                    PlanSource::WarmHit => "warm_hit",
+                    PlanSource::Coalesced => "coalesced",
+                    PlanSource::Revalidated => "revalidated",
+                },
+            );
+            root.attr_u64("rounds", cached.rounds as u64);
         }
-        out
+        let response = ServiceResponse {
+            plan: cached.plan,
+            source,
+            template,
+            rounds: cached.rounds,
+            converged: cached.converged,
+            reopt_time: cached.reopt_time,
+            validated_cost: cached.validated_cost,
+            latency: t0.elapsed(),
+            data_version: snap.data_version(),
+            trace: None,
+        };
+        Ok((response, snap))
     }
 
     /// Run the full re-optimization loop as the leading session and
     /// publish the outcome through `guard` — the cold-miss path, also the
     /// fallback when a re-validation rejects its cached plan.
-    #[allow(clippy::too_many_arguments)]
     fn lead_reoptimize(
         &self,
         query: &Query,
-        engine: &ReoptEngine,
+        snap: &Snapshot,
         tmpl: &QueryTemplate,
         version: u64,
         guard: LeadGuard,
         sub: &Tracer,
-        t0: Stopwatch,
-    ) -> Result<ServiceResponse> {
+    ) -> Result<CachedPlan> {
         // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
         self.reopts_run.fetch_add(1, Ordering::Relaxed);
-        match engine.reoptimize_with(query, &self.sample_cache, sub) {
-            Ok(report) => {
+        let outcome = snap
+            .engine
+            .reoptimize_with(query, &self.sample_cache, sub)
+            .and_then(|report| {
                 self.record_reopt(&report);
-                let cached = CachedPlan {
+                Ok(CachedPlan {
                     plan: Arc::new(report.final_plan),
                     rounds: report.rounds.len(),
                     converged: report.converged,
                     reopt_time: report.reopt_time,
                     stats_version: version,
                     validated_cost: report.final_validated_cost,
-                    base_tables: tmpl.base_tables(),
-                };
-                guard.complete(Ok(cached.clone()));
-                // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                self.cold_misses.fetch_add(1, Ordering::Relaxed);
-                self.registry.add("service.cold_misses", 1);
-                Ok(respond(
-                    cached,
-                    PlanSource::ColdMiss,
-                    tmpl.fingerprint(),
-                    t0,
-                ))
-            }
-            Err(e) => {
-                guard.complete(Err(e.clone()));
-                Err(e)
-            }
+                    data_version: snap.data_version(),
+                    sampled_at: snap.sampled_at(tmpl.base_tables())?,
+                })
+            });
+        guard.complete(outcome.clone());
+        if outcome.is_ok() {
+            // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
+            self.cold_misses.fetch_add(1, Ordering::Relaxed);
+            self.registry.add("service.cold_misses", 1);
         }
+        outcome
     }
 
     /// The re-validation tier: dry-run `stale`'s plan against the fresh
@@ -438,7 +533,7 @@ impl QueryService {
     fn try_revalidate(
         &self,
         query: &Query,
-        engine: &ReoptEngine,
+        snap: &Snapshot,
         stale: &CachedPlan,
         version: u64,
         tracer: &Tracer,
@@ -449,7 +544,8 @@ impl QueryService {
         self.registry.add("plan_cache.revalidations", 1);
         let mut span = tracer.span(names::SERVICE_REVALIDATE);
         let sub = tracer.under(&span);
-        let cost = engine
+        let cost = snap
+            .engine
             .revalidate_plan(query, &stale.plan, &self.sample_cache, &sub)
             .ok()?;
         let accepted = cost.is_finite()
@@ -471,7 +567,10 @@ impl QueryService {
             reopt_time: stale.reopt_time,
             stats_version: version,
             validated_cost: cost,
-            base_tables: stale.base_tables.clone(),
+            data_version: snap.data_version(),
+            sampled_at: snap
+                .sampled_at(stale.sampled_at.iter().map(|&(t, _)| t))
+                .ok()?,
         })
     }
 
@@ -534,12 +633,14 @@ impl QueryService {
     fn execute_inner(&self, query: &Query, tracer: &Tracer) -> Result<ExecutedQuery> {
         let mut root = tracer.span(names::SERVICE_EXECUTE);
         let inner = tracer.under(&root);
-        let response = self.submit_with_tracer(query, &inner)?;
+        // The plan runs on the snapshot it was admitted under, never on a
+        // later one an ingest published in between.
+        let (response, snap) = self.admit(query, &inner)?;
+        let engine = &snap.engine;
         let exec_opts = ExecOpts {
             tracer: inner.clone(),
             ..self.exec_opts.clone()
         };
-        let engine = self.engine();
         let out = if engine.reopt_config().mid_query {
             let t0 = Stopwatch::start();
             let run = engine.execute_plan_mid_query(query, &response.plan, exec_opts)?;
@@ -624,32 +725,6 @@ impl QueryService {
         v
     }
 
-    /// Surgical reaction to per-table drift: mark every cached plan
-    /// touching one of `tables` for re-validation on its next admission
-    /// (see [`Admission::Revalidate`] and
-    /// [`DriftConfig::revalidate_ratio`]). Plans over untouched tables
-    /// keep warm-hitting, and the statistics version does *not* move —
-    /// this is the proportional alternative to
-    /// [`QueryService::bump_stats_version`]. Returns the number of plans
-    /// newly marked. The ingest path calls this automatically after a
-    /// partial sample refresh; it is public for manual use.
-    pub fn evict_tables(&self, tables: &[TableId]) -> u64 {
-        let marked = self.plans.evict_tables(tables);
-        self.registry.add("plan_cache.table_evictions", marked);
-        marked
-    }
-
-    /// Migrate shared sample-cache entries across a surgical refresh: keep
-    /// (re-key) entries touching only untouched tables, drop the rest.
-    pub(crate) fn migrate_sample_cache(
-        &self,
-        from: reopt_storage::DataVersion,
-        to: reopt_storage::DataVersion,
-        refreshed: &[TableId],
-    ) -> (usize, usize) {
-        self.sample_cache.migrate_version(from, to, refreshed)
-    }
-
     /// Current statistics version.
     pub fn stats_version(&self) -> u64 {
         self.stats_version.load(Ordering::Acquire)
@@ -707,7 +782,7 @@ impl QueryService {
         snap.set_gauge("service.stats_version", s.stats_version as f64);
         snap.set_gauge(
             "service.data_version",
-            lock_unpoisoned(&self.state).engine.data_version().get() as f64,
+            self.snapshot().data_version().get() as f64,
         );
         snap.set_counter("sample_cache.hits", s.sample_cache.hits as u64);
         snap.set_counter("sample_cache.executed", s.sample_cache.executed as u64);
@@ -749,25 +824,6 @@ pub struct ExecutedQuery {
     /// present iff tracing was on for this query (see
     /// [`ServiceConfig::trace`] and [`QueryService::execute_traced`]).
     pub trace: Option<Arc<QueryTrace>>,
-}
-
-fn respond(
-    cached: CachedPlan,
-    source: PlanSource,
-    template: u64,
-    t0: Stopwatch,
-) -> ServiceResponse {
-    ServiceResponse {
-        plan: cached.plan,
-        source,
-        template,
-        rounds: cached.rounds,
-        converged: cached.converged,
-        reopt_time: cached.reopt_time,
-        validated_cost: cached.validated_cost,
-        latency: t0.elapsed(),
-        trace: None,
-    }
 }
 
 /// One client's handle on the service. Sessions are cheap (an `Arc` clone

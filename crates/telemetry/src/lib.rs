@@ -73,8 +73,8 @@ pub mod names {
     /// `threshold`, `tables_over`).
     pub const INGEST_DRIFT: &str = "ingest.drift";
     /// Surgical refresh after drift crossed the threshold: drifted
-    /// tables' samples redrawn, their plans marked, disjoint dry-run
-    /// entries migrated (attrs: `tables_refreshed`, `plans_evicted`,
+    /// tables' samples redrawn, disjoint dry-run entries migrated, the
+    /// new snapshot published (attrs: `tables_refreshed`,
     /// `sample_entries_kept`, `sample_entries_dropped`).
     pub const INGEST_REFRESH: &str = "ingest.refresh";
     /// Cached-plan re-validation on admission of a surgically-evicted
