@@ -40,7 +40,7 @@ pub struct ReoptEngine {
 
 impl ReoptEngine {
     /// Engine over pre-built statistics and samples, with default
-    /// (PostgreSQL-like optimizer, incremental re-optimization) configs.
+    /// (PostgreSQL-like optimizer, default re-optimization) configs.
     pub fn new(db: Arc<Database>, stats: Arc<DatabaseStats>, samples: Arc<SampleStore>) -> Self {
         Self::with_configs(
             db,

@@ -12,12 +12,10 @@
 
 pub mod engine;
 pub mod midquery;
-pub mod multi_seed;
 pub mod reopt;
 pub mod report;
 
 pub use engine::ReoptEngine;
 pub use midquery::{execute_mid_query, MidQueryOpts, MidQueryReport, MidQueryRun, MidQueryStats};
-pub use multi_seed::{run_multi_seed, run_multi_seed_parallel, MultiSeedReport};
 pub use reopt::{ExecutedReopt, ReOptConfig, ReOptimizer};
 pub use report::{ReoptReport, ReoptSummary, RoundReport};

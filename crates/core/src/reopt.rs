@@ -13,10 +13,20 @@
 //!
 //! The loop is guaranteed to terminate (Corollary 1): each non-terminal
 //! round must add at least one previously unseen join to Γ, and the join
-//! space is finite. [`ReOptConfig`] adds the practical stopping strategies
-//! the paper discusses in §5.4 (round cap, time budget, best-plan-so-far
-//! fallback), all of which are *off* by default so the textbook algorithm
-//! runs unmodified.
+//! space is finite. The loop applies the practical stopping strategies the
+//! paper discusses in §5.4: a round cap ([`ReOptConfig::max_rounds`], 32 by
+//! default — a safety net the paper's queries never reach) and an optional
+//! wall-clock budget ([`ReOptConfig::time_budget`], off by default). When
+//! either stops the loop before it converges, the final plan is the
+//! cheapest of the plans generated so far under the final Γ.
+//!
+//! Every round reuses the previous rounds' work: the optimizer keeps its DP
+//! table in a [`PlanMemo`] and re-plans only the subsets whose
+//! cardinalities the latest Δ can affect, and validation replays sample
+//! dry-run subtrees from a [`SharedSampleRunCache`] instead of
+//! re-executing them. Both caches are exact — `tests/incremental.rs` holds
+//! the loop to a from-scratch oracle (fresh DP, uncached dry runs every
+//! round) round by round.
 
 use std::time::Duration;
 
@@ -25,10 +35,7 @@ use reopt_common::{Error, RelSet, Result, Stopwatch};
 use reopt_optimizer::{CardOverrides, Optimizer, PlanMemo};
 use reopt_plan::transform::{classify_transformation, is_covered_by};
 use reopt_plan::{JoinTree, PhysicalPlan, Query};
-use reopt_sampling::{
-    validate_plan, validate_plan_cached, SampleStore, SharedSampleRunCache, Validation,
-    ValidationOpts,
-};
+use reopt_sampling::{validate_plan_cached, SampleStore, SharedSampleRunCache, ValidationOpts};
 use reopt_telemetry::{names, Tracer};
 
 /// Stopping strategy and validation knobs for the re-optimization loop.
@@ -40,29 +47,8 @@ pub struct ReOptConfig {
     /// Optional wall-clock budget for the whole loop (§5.4's timeout
     /// strategy).
     pub time_budget: Option<Duration>,
-    /// When the loop is stopped early (cap or budget), re-cost all plans
-    /// generated so far under the final Γ and return the cheapest (§5.4's
-    /// "best plan among the plans generated so far").
-    pub pick_best_on_stop: bool,
     /// Sampling validation options.
     pub validation: ValidationOpts,
-    /// Conservative acceptance (§7's second future-work item): only accept
-    /// a sampling-validated cardinality into Γ when it disagrees with the
-    /// optimizer's native estimate by at least this factor (in either
-    /// direction). `None` (the default) reproduces the paper's
-    /// "unconditionally accept" behaviour; `Some(2.0)` ignores corrections
-    /// smaller than 2×, trading repair opportunities for robustness to
-    /// sampling noise.
-    pub min_discrepancy_factor: Option<f64>,
-    /// Reuse work across rounds (on by default): the optimizer keeps its
-    /// DP table in a [`PlanMemo`] and re-plans only the subsets whose
-    /// cardinalities the latest Δ can affect, and plan validation replays
-    /// sample dry-run subtrees from a [`SharedSampleRunCache`] instead of
-    /// re-executing them. Both caches are exact — the final plan and Γ are
-    /// structurally identical to the from-scratch path (`incremental:
-    /// false`, kept for A/B comparison; `tests/incremental.rs` holds the
-    /// equivalence).
-    pub incremental: bool,
     /// Mid-query re-optimization (off by default): execution suspends at
     /// every materialization point (non-root join), folds the exact
     /// observed cardinalities into Γ, re-plans the remainder with the
@@ -95,10 +81,7 @@ impl Default for ReOptConfig {
         ReOptConfig {
             max_rounds: 32,
             time_budget: None,
-            pick_best_on_stop: true,
             validation: ValidationOpts::default(),
-            min_discrepancy_factor: None,
-            incremental: true,
             mid_query: false,
             max_suspensions: 64,
             replan_discrepancy: Some(2.0),
@@ -115,93 +98,6 @@ impl ReOptConfig {
         let mut config = ReOptConfig::default();
         config.validation.threads = threads;
         config
-    }
-}
-
-/// The cross-round caches of one incremental run, owning the shared round
-/// protocol (plan → validate → note Δ) so [`ReOptimizer::run`] and
-/// [`crate::multi_seed::run_multi_seed`] cannot drift apart. With
-/// `enabled: false` every call falls through to the from-scratch path.
-///
-/// The sample cache is a handle: a fresh one for a run-private cache, a
-/// clone of the serving layer's so concurrent sessions pool validated
-/// subtrees ([`ReOptimizer::run_with`]).
-#[derive(Debug)]
-pub(crate) struct IncrementalCaches {
-    memo: PlanMemo,
-    sample_cache: SharedSampleRunCache,
-    enabled: bool,
-}
-
-impl IncrementalCaches {
-    pub(crate) fn new(enabled: bool, sample_cache: SharedSampleRunCache) -> Self {
-        IncrementalCaches {
-            memo: PlanMemo::new(),
-            sample_cache,
-            enabled,
-        }
-    }
-
-    /// Drop the DP memo — required when switching to a differently
-    /// configured optimizer (the sample cache, keyed by (query, samples)
-    /// only, stays valid).
-    pub(crate) fn reset_memo(&mut self) {
-        self.memo.clear();
-    }
-
-    /// Pin the memo and sample cache to the data version the run's
-    /// samples were drawn at: the memo self-clears on a version change,
-    /// and the sample cache's lookups/stores become qualified with it.
-    pub(crate) fn pin_data_version(&mut self, version: reopt_storage::DataVersion) {
-        self.memo.set_data_version(version);
-        self.sample_cache.set_data_version(version);
-    }
-
-    /// `GetPlanFromOptimizer(Γ)`, reusing the memo when enabled.
-    pub(crate) fn plan(
-        &mut self,
-        optimizer: &Optimizer<'_>,
-        query: &Query,
-        gamma: &CardOverrides,
-    ) -> Result<reopt_optimizer::Planned> {
-        if self.enabled {
-            optimizer.optimize_incremental(query, gamma, &mut self.memo)
-        } else {
-            optimizer.optimize_with(query, gamma)
-        }
-    }
-
-    /// `GetCardinalityEstimatesBySampling(P)`, replaying cached dry-run
-    /// subtrees when enabled.
-    pub(crate) fn validate(
-        &mut self,
-        query: &Query,
-        plan: &PhysicalPlan,
-        samples: &SampleStore,
-        opts: &ValidationOpts,
-    ) -> Result<Validation> {
-        if self.enabled {
-            validate_plan_cached(query, plan, samples, opts, &mut self.sample_cache)
-        } else {
-            validate_plan(query, plan, samples, opts)
-        }
-    }
-
-    /// Evict the DP entries the accepted Δ can affect — the cost of a set
-    /// depends only on cardinalities of its subsets, so only supersets of
-    /// changed sets are stale. Δ re-lists sets Γ already holds
-    /// (validation is deterministic, so with the same value); those change
-    /// nothing and must not evict anything. Call *before* `gamma.merge`.
-    pub(crate) fn note_delta(&mut self, gamma: &CardOverrides, delta: &CardOverrides) {
-        if !self.enabled {
-            return;
-        }
-        let changed: Vec<RelSet> = delta
-            .iter()
-            .filter(|&(s, v)| gamma.get(s) != Some(v))
-            .map(|(s, _)| s)
-            .collect();
-        self.memo.invalidate_supersets(&changed);
     }
 }
 
@@ -272,10 +168,9 @@ impl<'a> ReOptimizer<'a> {
     /// of the cache (and vice versa) — the serving layer passes its one
     /// cache so cold misses on different query templates share validated
     /// subtree estimates. The final plan and Γ do not depend on either
-    /// argument: the cache is exact, whoever filled it (with
-    /// `incremental: false` validation bypasses it entirely), and
-    /// recording never feeds back into planning. The cache must belong to
-    /// the same ([`SampleStore`], [`ValidationOpts`]) contract as this
+    /// argument: the cache is exact, whoever filled it, and recording
+    /// never feeds back into planning. The cache must belong to the same
+    /// ([`SampleStore`], [`ValidationOpts`]) contract as this
     /// re-optimizer.
     pub fn run_with(
         &self,
@@ -283,11 +178,8 @@ impl<'a> ReOptimizer<'a> {
         sample_cache: &SharedSampleRunCache,
         tracer: &Tracer,
     ) -> Result<ReoptReport> {
-        // Cross-round caches (incremental mode): the DP table survives
-        // between optimizer calls minus the stale frontier, and sample
-        // dry-run subtrees are replayed instead of re-executed.
-        let mut caches = IncrementalCaches::new(self.config.incremental, sample_cache.clone());
-        self.run_with_caches(query, &mut caches, tracer)
+        self.run_with_caches(query, sample_cache, tracer)
+            .map(|(report, _)| report)
     }
 
     /// Run Algorithm 1, then execute the chosen plan against the full
@@ -316,12 +208,10 @@ impl<'a> ReOptimizer<'a> {
         query: &Query,
         exec_opts: reopt_executor::ExecOpts,
     ) -> Result<ExecutedReopt> {
-        let mut caches =
-            IncrementalCaches::new(self.config.incremental, SharedSampleRunCache::new());
         // One tracer covers the whole journey: the sampling loop's spans
         // and the execution's land in the same trace.
         let tracer = exec_opts.tracer.clone();
-        let report = self.run_with_caches(query, &mut caches, &tracer)?;
+        let (report, memo) = self.run_with_caches(query, &SharedSampleRunCache::new(), &tracer)?;
         let run = if self.config.mid_query {
             crate::midquery::execute_mid_query(
                 self.optimizer.database(),
@@ -330,7 +220,7 @@ impl<'a> ReOptimizer<'a> {
                 &report.final_plan,
                 crate::midquery::MidQueryOpts {
                     gamma: report.gamma.clone(),
-                    memo: caches.memo,
+                    memo,
                     exec: exec_opts,
                     max_suspensions: self.config.max_suspensions,
                     replan_discrepancy: self.config.replan_discrepancy,
@@ -348,22 +238,28 @@ impl<'a> ReOptimizer<'a> {
         Ok(ExecutedReopt { report, run })
     }
 
+    /// Algorithm 1 proper. Returns the report and the loop's DP memo, which
+    /// [`ReOptimizer::execute_with_opts`] hands on to the mid-query loop.
     fn run_with_caches(
         &self,
         query: &Query,
-        caches: &mut IncrementalCaches,
+        sample_cache: &SharedSampleRunCache,
         tracer: &Tracer,
-    ) -> Result<ReoptReport> {
+    ) -> Result<(ReoptReport, PlanMemo)> {
         let t_start = Stopwatch::start();
         let mut loop_span = tracer.span(names::REOPT_LOOP);
         let loop_tracer = tracer.under(&loop_span);
         // Pin every per-run cache to the data state the samples were
-        // drawn from: the DP memo self-clears if it was (improperly)
-        // carried across an ingest, and Γ entries carry the stamp drift
-        // rebasing later relies on.
-        caches.pin_data_version(self.samples.data_version());
+        // drawn from: the DP memo is planned against it, the sample
+        // cache's lookups/stores are qualified with it, and Γ entries
+        // carry the stamp drift rebasing later relies on.
+        let version = self.samples.data_version();
+        let mut memo = PlanMemo::new();
+        memo.set_data_version(version);
+        let mut sample_cache = sample_cache.clone();
+        sample_cache.set_data_version(version);
         let mut gamma = CardOverrides::new();
-        gamma.set_data_version(self.samples.data_version());
+        gamma.set_data_version(version);
         let mut rounds: Vec<RoundReport> = Vec::new();
         let mut prev_plan: Option<PhysicalPlan> = None;
         let mut prev_trees: Vec<JoinTree> = Vec::new();
@@ -389,7 +285,9 @@ impl<'a> ReOptimizer<'a> {
             let t0 = Stopwatch::start();
             let planned = {
                 let mut dp_span = round_tracer.span(names::OPTIMIZER_DP);
-                let planned = caches.plan(self.optimizer, query, &gamma)?;
+                let planned = self
+                    .optimizer
+                    .optimize_incremental(query, &gamma, &mut memo)?;
                 if dp_span.is_recording() {
                     dp_span.attr_u64("subsets_reused", planned.search.subsets_reused as u64);
                     dp_span.attr_u64("subsets_replanned", planned.search.subsets_replanned as u64);
@@ -437,19 +335,31 @@ impl<'a> ReOptimizer<'a> {
             // Hand the round's tracer to the validator so the dry-run's
             // spans nest under this round. Clone-on-enabled keeps the
             // common untraced path allocation-free.
-            let v = if round_tracer.is_enabled() {
-                let mut vopts = self.config.validation.clone();
-                vopts.tracer = round_tracer.clone();
-                caches.validate(query, &planned.plan, self.samples, &vopts)?
+            let traced_opts;
+            let vopts = if round_tracer.is_enabled() {
+                traced_opts = ValidationOpts {
+                    tracer: round_tracer.clone(),
+                    ..self.config.validation.clone()
+                };
+                &traced_opts
             } else {
-                caches.validate(query, &planned.plan, self.samples, &self.config.validation)?
+                &self.config.validation
             };
-            let delta = match self.config.min_discrepancy_factor {
-                Some(factor) => self.filter_small_corrections(query, &gamma, &v.delta, factor)?,
-                None => v.delta,
-            };
-            caches.note_delta(&gamma, &delta);
-            let fresh = gamma.merge(&delta);
+            let v =
+                validate_plan_cached(query, &planned.plan, self.samples, vopts, &mut sample_cache)?;
+            // Evict the DP entries Δ can affect — the cost of a set depends
+            // only on cardinalities of its subsets, so only supersets of
+            // changed sets are stale. Δ re-lists sets Γ already holds
+            // (validation is deterministic, so with the same value); those
+            // change nothing and must not evict anything.
+            let changed: Vec<RelSet> = v
+                .delta
+                .iter()
+                .filter(|&(s, rows)| gamma.get(s) != Some(rows))
+                .map(|(s, _)| s)
+                .collect();
+            memo.invalidate_supersets(&changed);
+            let fresh = gamma.merge(&v.delta);
             let (_, vcost) = self.optimizer.cost_plan(query, &planned.plan, &gamma)?;
             rounds.push(RoundReport {
                 round,
@@ -479,14 +389,16 @@ impl<'a> ReOptimizer<'a> {
             }
         }
 
-        // Final plan selection. The loop above always runs round 1, so
-        // `rounds` is non-empty; surface a corrupted state as an error
-        // rather than a panic.
-        let last_round = rounds
-            .last()
-            .ok_or_else(|| Error::internal("re-optimization loop produced zero rounds"))?;
-        let (final_plan, final_validated_cost) = if !converged && self.config.pick_best_on_stop {
-            // §5.4: under the final Γ, the cheapest of the generated plans.
+        // Final plan selection. Every round records its plan's cost under
+        // the then-current Γ; a converged loop's terminal round is already
+        // the final plan under the final Γ (no Δ was merged after it).
+        // A loop stopped early (cap or budget) returns §5.4's best plan so
+        // far: under the final Γ, the cheapest of the generated plans.
+        // Round 1 always runs, so `rounds` is non-empty; surface a
+        // corrupted state as an error rather than a panic.
+        let best = if converged {
+            rounds.last().map(|r| (r.validated_cost, &r.plan))
+        } else {
             let mut best: Option<(f64, &PhysicalPlan)> = None;
             for r in &rounds {
                 let (_, cost) = self.optimizer.cost_plan(query, &r.plan, &gamma)?;
@@ -494,52 +406,26 @@ impl<'a> ReOptimizer<'a> {
                     best = Some((cost, &r.plan));
                 }
             }
-            match best {
-                Some((cost, p)) => (p.clone(), cost),
-                None => (last_round.plan.clone(), last_round.validated_cost),
-            }
-        } else {
-            // Every round records its plan's cost under the then-current Γ;
-            // the terminal round's entry is already the final plan under
-            // the final Γ (no new Δ was merged after it).
-            (last_round.plan.clone(), last_round.validated_cost)
+            best
         };
+        let (final_validated_cost, final_plan) = best
+            .map(|(cost, plan)| (cost, plan.clone()))
+            .ok_or_else(|| Error::internal("re-optimization loop produced zero rounds"))?;
 
         if loop_span.is_recording() {
             loop_span.attr_u64("rounds", rounds.len() as u64);
             loop_span.attr_bool("converged", converged);
             loop_span.attr_u64("gamma_len", gamma.len() as u64);
         }
-        Ok(ReoptReport {
+        let report = ReoptReport {
             rounds,
             final_plan,
             final_validated_cost,
             converged,
             reopt_time: t_start.elapsed(),
             gamma,
-        })
-    }
-
-    /// Conservative acceptance: drop Δ entries whose sampling estimate is
-    /// within `factor` of the optimizer's current estimate (native stats
-    /// overridden by the Γ accumulated so far).
-    fn filter_small_corrections(
-        &self,
-        query: &Query,
-        gamma: &CardOverrides,
-        delta: &CardOverrides,
-        factor: f64,
-    ) -> Result<CardOverrides> {
-        let factor = factor.max(1.0);
-        let mut kept = CardOverrides::new();
-        for (set, sampled) in delta.iter() {
-            let native = self.optimizer.estimate_rows(query, gamma, set)?;
-            let (lo, hi) = (native / factor, native * factor);
-            if sampled < lo || sampled > hi {
-                kept.insert(set, sampled);
-            }
-        }
-        Ok(kept)
+        };
+        Ok((report, memo))
     }
 
     /// Theorem 6 check: the final plan costs no more (under the final Γ)
@@ -733,7 +619,7 @@ mod tests {
         assert_eq!(report.num_rounds(), 1);
         // With one round the loop cannot have converged...
         assert!(!report.converged);
-        // ...and pick_best_on_stop returns the only plan generated.
+        // ...and the best plan so far is the only plan generated.
         assert!(report.final_plan.same_structure(&report.rounds[0].plan));
     }
 
@@ -751,54 +637,51 @@ mod tests {
         assert!(r1.final_plan.same_structure(&r2.final_plan));
     }
 
-    #[test]
-    fn conservative_acceptance_suppresses_small_corrections() {
-        let f = Fixture::new(4, 50, 20);
-        let stats = analyze_database(&f.db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(
-            &f.db,
+    /// Samples dense enough (ratio 0.5) that validation repairs an OTT
+    /// chain's plan over several rounds.
+    fn dense_samples(db: &Database) -> SampleStore {
+        SampleStore::build(
+            db,
             SampleConfig {
                 ratio: 0.5,
                 ..Default::default()
             },
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn capped_loop_returns_the_cheapest_plan_under_the_final_gamma() {
+        // The 4-chain below needs > 2 rounds to converge (see
+        // incremental_reuses_dp_and_sample_work), so a 2-round cap stops it
+        // early with two distinct candidate plans.
+        let f = Fixture::new(4, 50, 20);
+        let stats = analyze_database(&f.db, &AnalyzeOpts::default()).unwrap();
+        let samples = dense_samples(&f.db);
         let opt = Optimizer::new(&f.db, &stats);
+        let config = ReOptConfig {
+            max_rounds: 2,
+            ..Default::default()
+        };
+        let re = ReOptimizer::with_config(&opt, &samples, config);
         let q = ott_query(4, &[0, 0, 0, 1]);
-
-        // An absurd discrepancy threshold: every correction is suppressed,
-        // Γ never grows, and the loop terminates with the original plan.
-        let config = ReOptConfig {
-            min_discrepancy_factor: Some(1e12),
-            ..Default::default()
-        };
-        let re = ReOptimizer::with_config(&opt, &samples, config);
         let report = re.run(&q).unwrap();
-        assert!(report.converged);
-        assert_eq!(report.gamma.len(), 0);
-        assert!(!report.plan_changed());
         assert_eq!(report.num_rounds(), 2);
-
-        // A moderate threshold still lets the orders-of-magnitude OTT
-        // errors through: the plan is repaired as usual.
-        let config = ReOptConfig {
-            min_discrepancy_factor: Some(3.0),
-            ..Default::default()
-        };
-        let re = ReOptimizer::with_config(&opt, &samples, config);
-        let report = re.run(&q).unwrap();
-        assert!(report.converged);
+        assert!(!report.converged);
         assert!(
-            !report.gamma.is_empty(),
-            "large errors must still be accepted"
+            report
+                .rounds
+                .iter()
+                .any(|r| r.plan.same_structure(&report.final_plan)),
+            "final plan is none of the round plans"
         );
-        // Only the big-discrepancy sets were recorded.
-        for (set, rows) in report.gamma.iter() {
-            let native = opt.estimate_rows(&q, &CardOverrides::new(), set).unwrap();
-            let ratio = (rows.max(1e-9) / native.max(1e-9)).max(native / rows.max(1e-9));
+        let (final_cost, costs) = re.verify_final_optimality(&q, &report).unwrap();
+        assert_eq!(final_cost, report.final_validated_cost);
+        for (i, c) in costs.iter().enumerate() {
             assert!(
-                ratio >= 2.0,
-                "small correction slipped through: {set} {rows} vs {native}"
+                final_cost <= *c,
+                "round {} plan is cheaper ({c}) than final ({final_cost})",
+                i + 1
             );
         }
     }
@@ -813,16 +696,9 @@ mod tests {
         for (k, consts) in [(4usize, vec![0i64, 0, 0, 1]), (5, vec![0, 0, 0, 0, 1])] {
             let f = Fixture::new(k, 50, 20);
             let stats = analyze_database(&f.db, &AnalyzeOpts::default()).unwrap();
-            let samples = SampleStore::build(
-                &f.db,
-                SampleConfig {
-                    ratio: 0.5,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let samples = dense_samples(&f.db);
             let opt = Optimizer::new(&f.db, &stats);
-            let re = ReOptimizer::new(&opt, &samples); // incremental by default
+            let re = ReOptimizer::new(&opt, &samples);
             let q = ott_query(k, &consts);
             let report = re.run(&q).unwrap();
             assert!(report.converged);
@@ -862,73 +738,6 @@ mod tests {
                 report.total_sample_cache_hits() >= 1,
                 "k={k}: no sample-cache hit recorded"
             );
-
-            // The caches are pure work-avoidance: from-scratch mode ends
-            // in the same place.
-            let scratch = ReOptimizer::with_config(
-                &opt,
-                &samples,
-                ReOptConfig {
-                    incremental: false,
-                    ..Default::default()
-                },
-            )
-            .run(&q)
-            .unwrap();
-            assert!(report.final_plan.same_structure(&scratch.final_plan));
-        }
-    }
-
-    #[test]
-    fn incremental_and_from_scratch_agree() {
-        // Multi-round plan-changing trajectories (ratio 0.5, see
-        // incremental_reuses_dp_and_sample_work) and trivial ones must all
-        // end in the same plan with the same Γ under both modes.
-        let f = Fixture::new(5, 50, 20);
-        let stats = analyze_database(&f.db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(
-            &f.db,
-            SampleConfig {
-                ratio: 0.5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let opt = Optimizer::new(&f.db, &stats);
-        let inc = ReOptimizer::new(&opt, &samples);
-        let scratch = ReOptimizer::with_config(
-            &opt,
-            &samples,
-            ReOptConfig {
-                incremental: false,
-                ..Default::default()
-            },
-        );
-        for consts in [
-            [0, 0, 0, 0, 1],
-            [0, 0, 1, 0, 0],
-            [0, 1, 0, 1, 0],
-            [0, 0, 0, 0, 0],
-        ] {
-            let q = ott_query(5, &consts);
-            let a = inc.run(&q).unwrap();
-            let b = scratch.run(&q).unwrap();
-            assert_eq!(a.num_rounds(), b.num_rounds(), "{consts:?}");
-            for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
-                assert!(
-                    ra.plan.same_structure(&rb.plan),
-                    "{consts:?}: round {} plans differ",
-                    ra.round
-                );
-            }
-            assert!(
-                a.final_plan.same_structure(&b.final_plan),
-                "{consts:?}: final plans differ"
-            );
-            assert_eq!(a.gamma.len(), b.gamma.len(), "{consts:?}");
-            for (set, rows) in a.gamma.iter() {
-                assert_eq!(b.gamma.get(set), Some(rows), "{consts:?}: Γ({set})");
-            }
         }
     }
 
@@ -941,14 +750,7 @@ mod tests {
         // the first one executed.
         let f = Fixture::new(5, 50, 20);
         let stats = analyze_database(&f.db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(
-            &f.db,
-            SampleConfig {
-                ratio: 0.5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let samples = dense_samples(&f.db);
         let opt = Optimizer::new(&f.db, &stats);
         let re = ReOptimizer::new(&opt, &samples);
         let qa = ott_query(5, &[0, 0, 0, 0, 1]);

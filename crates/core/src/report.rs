@@ -42,14 +42,13 @@ pub struct RoundReport {
     /// Time spent validating over the samples (zero in the terminal
     /// round).
     pub validation_time: Duration,
-    /// DP subsets reused from the cross-round memo (0 when incremental
-    /// mode is off or the GEQO fallback planned the round).
+    /// DP subsets reused from the cross-round memo (0 in round 1 and when
+    /// the GEQO fallback planned the round).
     pub dp_subsets_reused: usize,
     /// DP subsets (re-)planned this round.
     pub dp_subsets_replanned: usize,
-    /// Sample dry-run subtrees replayed from the cross-round cache (0 when
-    /// incremental mode is off and in the terminal round, which skips
-    /// validation).
+    /// Sample dry-run subtrees replayed from the cross-round cache (0 in
+    /// the terminal round, which skips validation).
     pub sample_cache_hits: usize,
     /// Sample dry-run subtrees actually executed this round.
     pub sample_subtrees_executed: usize,
@@ -208,7 +207,7 @@ pub struct ReoptSummary {
     pub optimize_time_us: u64,
     /// Size of the final Γ.
     pub gamma_entries: usize,
-    /// DP subsets reused from the cross-round memo (incremental mode).
+    /// DP subsets reused from the cross-round memo.
     pub dp_subsets_reused: usize,
     /// DP subsets (re-)planned across all rounds.
     pub dp_subsets_replanned: usize,

@@ -40,7 +40,7 @@ pub fn explain_analyze(db: &Database, query: &Query, plan: &PhysicalPlan) -> Res
             traced.metrics.dict_hits
         );
     }
-    render(plan, &actual, None, &mut out, 0);
+    render(db, plan, &actual, None, &mut out, 0);
     Ok(out)
 }
 
@@ -99,11 +99,12 @@ pub fn explain_analyze_traced(db: &Database, query: &Query, plan: &PhysicalPlan)
             traced.metrics.dict_hits
         );
     }
-    render(plan, &actual, Some(&obs), &mut out, 0);
+    render(db, plan, &actual, Some(&obs), &mut out, 0);
     Ok(out)
 }
 
 fn render(
+    db: &Database,
     plan: &PhysicalPlan,
     actual: &FxHashMap<RelSet, u64>,
     obs: Option<&FxHashMap<RelSet, NodeObs>>,
@@ -138,9 +139,14 @@ fn render(
                 AccessPath::SeqScan => "SeqScan".to_string(),
                 AccessPath::IndexScan { col } => format!("IndexScan[{col}]"),
             };
+            // Execution already resolved every table; the raw-id fallback
+            // only keeps rendering total.
+            let name = db
+                .table(*table)
+                .map_or_else(|_| format!("table {table}"), |t| t.name().to_string());
             let _ = writeln!(
                 out,
-                "{path} {rel} (table {table})  est={:.1} actual={observed}{timing}",
+                "{path} {rel} ({name})  est={:.1} actual={observed}{timing}",
                 info.est_rows
             );
         }
@@ -173,8 +179,8 @@ fn render(
                 out,
                 "{algo:?}Join on [{keys_s}]  est={est:.1} actual={observed}{timing}{marker}",
             );
-            render(left, actual, obs, out, depth + 1);
-            render(right, actual, obs, out, depth + 1);
+            render(db, left, actual, obs, out, depth + 1);
+            render(db, right, actual, obs, out, depth + 1);
         }
     }
 }
@@ -256,6 +262,9 @@ mod tests {
         assert!(s.contains("actual=250"), "{s}");
         assert!(s.contains("est=250.0"), "{s}");
         assert!(s.contains("actual=50")); // both scans
+                                          // Scans are labelled with their table's name, not its id.
+        assert!(s.contains("SeqScan r0 (x)  est=50.0"), "{s}");
+        assert!(s.contains("SeqScan r1 (y)  est=50.0"), "{s}");
         assert!(!s.contains("misestimated"));
     }
 

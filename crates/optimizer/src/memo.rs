@@ -72,11 +72,6 @@ impl PlanMemo {
         self.entries.contains_key(&set)
     }
 
-    /// Drop every entry — e.g. when switching to a different query.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// The data state the resident entries were planned against.
     pub fn data_version(&self) -> DataVersion {
         self.version
@@ -191,7 +186,5 @@ mod tests {
         memo.insert(rs(&[0]), entry());
         assert_eq!(memo.invalidate_supersets(&[]), 0);
         assert_eq!(memo.len(), 1);
-        memo.clear();
-        assert!(memo.is_empty());
     }
 }

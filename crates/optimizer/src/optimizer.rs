@@ -227,8 +227,8 @@ impl<'a> Optimizer<'a> {
 
     /// Estimate the cardinality of the join result covering `set`, under
     /// the given Γ — exposes the estimator for callers that need to compare
-    /// sampling results against the optimizer's beliefs (e.g. conservative
-    /// acceptance).
+    /// observed cardinalities against the optimizer's beliefs (e.g. the
+    /// mid-query replan gate).
     pub fn estimate_rows(
         &self,
         query: &Query,

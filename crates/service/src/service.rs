@@ -7,9 +7,8 @@ use std::time::Duration;
 use crate::cache::{Admission, CachedPlan, Freshness, LeadGuard, PlanCache};
 use crate::ingest::DriftConfig;
 use reopt_common::{lock_unpoisoned, Result, Stopwatch, TableId};
-use reopt_core::{MidQueryStats, ReOptConfig, ReoptEngine};
+use reopt_core::{MidQueryStats, ReoptEngine};
 use reopt_executor::{ExecOpts, Executor, QueryOutput};
-use reopt_optimizer::OptimizerConfig;
 use reopt_plan::{PhysicalPlan, Query, QueryTemplate};
 use reopt_sampling::{SampleCacheStats, SampleConfig, SharedSampleRunCache};
 use reopt_stats::{AnalyzeOpts, DatabaseStats};
@@ -24,16 +23,15 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Service configuration.
+/// Service configuration: the serving layer's own knobs. How a cold miss
+/// plans is not among them — the [`ReoptEngine`] the service is built on
+/// carries the optimizer and re-optimization configs
+/// ([`ReoptEngine::from_database_with_configs`]), and
+/// [`QueryService::from_database`] builds one with the defaults.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Max templates held in the plan cache (LRU beyond this; ≥ 1).
     pub plan_cache_capacity: usize,
-    /// Re-optimization knobs applied to every cold miss (the dry-run
-    /// executor's thread knob lives at `reopt.validation.threads`).
-    pub reopt: ReOptConfig,
-    /// Optimizer configuration.
-    pub optimizer: OptimizerConfig,
     /// Executor options for [`QueryService::execute`]: served queries run
     /// partition-parallel per [`ExecOpts::threads`] (default: available
     /// parallelism), with results bit-identical to serial execution.
@@ -53,8 +51,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             plan_cache_capacity: 128,
-            reopt: ReOptConfig::default(),
-            optimizer: OptimizerConfig::postgres_like(),
             exec: ExecOpts::default(),
             trace: None,
             drift: DriftConfig::default(),
@@ -262,7 +258,10 @@ impl QueryService {
         })
     }
 
-    /// Bootstrap a service from raw tables: ANALYZE, sample, serve.
+    /// Bootstrap a service from raw tables: ANALYZE, sample, serve, with
+    /// the default optimizer and re-optimization configs (see
+    /// [`ReoptEngine::from_database`]; build the engine yourself and use
+    /// [`QueryService::new`] for others).
     pub fn from_database(
         db: Arc<Database>,
         analyze: &AnalyzeOpts,
@@ -270,13 +269,7 @@ impl QueryService {
         config: ServiceConfig,
     ) -> Result<Self> {
         config.drift.validate()?;
-        let engine = ReoptEngine::from_database_with_configs(
-            db,
-            analyze,
-            sample,
-            config.optimizer.clone(),
-            config.reopt.clone(),
-        )?;
+        let engine = ReoptEngine::from_database(db, analyze, sample)?;
         Self::new(engine, config)
     }
 
@@ -592,12 +585,14 @@ impl QueryService {
     /// [`ExecOpts::threads`] (partition-parallel scans and hash joins,
     /// bit-identical results at any thread count).
     ///
-    /// With [`ReOptConfig::mid_query`] on, the admitted plan executes
-    /// under the suspend → refine → replan → resume loop: execution pauses
-    /// at each materialization point, exact observed cardinalities re-plan
-    /// the remainder, and checkpointed subtrees are spliced into the
-    /// successor — the result is equivalent either way, and
-    /// [`ExecutedQuery::mid_query`] reports what the loop did.
+    /// With the engine's [`ReOptConfig::mid_query`] on, the admitted plan
+    /// executes under the suspend → refine → replan → resume loop:
+    /// execution pauses at each materialization point, exact observed
+    /// cardinalities re-plan the remainder, and checkpointed subtrees are
+    /// spliced into the successor — the result is equivalent either way,
+    /// and [`ExecutedQuery::mid_query`] reports what the loop did.
+    ///
+    /// [`ReOptConfig::mid_query`]: reopt_core::ReOptConfig::mid_query
     pub fn execute(&self, query: &Query) -> Result<ExecutedQuery> {
         self.execute_with_tracer(query, self.new_tracer())
     }
@@ -818,7 +813,8 @@ pub struct ExecutedQuery {
     /// metrics — including the parallel-worker counters).
     pub output: QueryOutput,
     /// Mid-query re-optimization counters, present iff
-    /// [`ReOptConfig::mid_query`] was on for this service.
+    /// [`ReOptConfig::mid_query`](reopt_core::ReOptConfig::mid_query) was
+    /// on for this service's engine.
     pub mid_query: Option<MidQueryStats>,
     /// The finished span trace — admission through per-operator execution —
     /// present iff tracing was on for this query (see

@@ -6,6 +6,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use reopt_common::{ColId, TableId};
+use reopt_core::{ReOptConfig, ReoptEngine};
+use reopt_optimizer::OptimizerConfig;
 use reopt_plan::query::ColRef;
 use reopt_plan::{Predicate, Query, QueryBuilder};
 use reopt_sampling::SampleConfig;
@@ -341,23 +343,29 @@ fn sessions_are_independent_handles() {
     assert_eq!(a.service().stats().submitted, 3);
 }
 
-/// Mid-query re-optimization behind `ReOptConfig::mid_query`: the execute
-/// path suspends/replans/resumes, reports its counters, and returns the
-/// same answer (and the same aggregates) as the straight-through service.
+/// Mid-query re-optimization behind the engine's `ReOptConfig::mid_query`:
+/// the execute path suspends/replans/resumes, reports its counters, and
+/// returns the same answer (and the same aggregates) as the
+/// straight-through service.
 #[test]
 fn mid_query_execute_is_result_equivalent() {
     let config = small_ott();
     let straight = service_with(&config, ServiceConfig::default());
-    let mid = service_with(
-        &config,
-        ServiceConfig {
-            reopt: reopt_core::ReOptConfig {
-                mid_query: true,
-                ..Default::default()
-            },
+    let engine = ReoptEngine::from_database_with_configs(
+        ott_db(&config),
+        &AnalyzeOpts::default(),
+        SampleConfig {
+            ratio: recommended_sample_ratio(&config),
             ..Default::default()
         },
-    );
+        OptimizerConfig::postgres_like(),
+        ReOptConfig {
+            mid_query: true,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mid = QueryService::new(engine, ServiceConfig::default()).unwrap();
     for consts in [vec![0i64, 0, 0, 0, 0], vec![0, 0, 0, 1, 0]] {
         let qa = ott_query(straight.engine().db(), &consts).unwrap();
         let qb = ott_query(mid.engine().db(), &consts).unwrap();

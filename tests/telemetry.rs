@@ -7,7 +7,8 @@
 
 use std::sync::Arc;
 
-use reopt::core::ReOptConfig;
+use reopt::core::{ReOptConfig, ReoptEngine};
+use reopt::optimizer::OptimizerConfig;
 use reopt::sampling::SampleConfig;
 use reopt::service::{PlanSource, QueryService, ServiceConfig};
 use reopt::stats::AnalyzeOpts;
@@ -26,20 +27,25 @@ fn ott() -> OttConfig {
 fn service(mid_query: bool, trace: Option<bool>) -> Arc<QueryService> {
     let config = ott();
     let db = Arc::new(build_ott_database(&config).unwrap());
+    let engine = ReoptEngine::from_database_with_configs(
+        db,
+        &AnalyzeOpts::default(),
+        SampleConfig {
+            ratio: recommended_sample_ratio(&config),
+            ..Default::default()
+        },
+        OptimizerConfig::postgres_like(),
+        ReOptConfig {
+            mid_query,
+            replan_discrepancy: None,
+            ..ReOptConfig::default()
+        },
+    )
+    .unwrap();
     Arc::new(
-        QueryService::from_database(
-            db,
-            &AnalyzeOpts::default(),
-            SampleConfig {
-                ratio: recommended_sample_ratio(&config),
-                ..Default::default()
-            },
+        QueryService::new(
+            engine,
             ServiceConfig {
-                reopt: ReOptConfig {
-                    mid_query,
-                    replan_discrepancy: None,
-                    ..ReOptConfig::default()
-                },
                 trace,
                 ..Default::default()
             },
