@@ -35,8 +35,7 @@
 
 use reopt_common::{RelSet, Result};
 use reopt_executor::{
-    aggregate, AggOutput, CheckpointStore, ExecMetrics, ExecOpts, ExecStep, Executor, RowSet,
-    TracedRun,
+    AggOutput, CheckpointStore, ExecMetrics, ExecOpts, ExecStep, Executor, RowSet, TracedRun,
 };
 use reopt_optimizer::{CardOverrides, Optimizer, PinnedLeaf, PlanMemo};
 use reopt_plan::{PhysicalPlan, Query};
@@ -177,9 +176,8 @@ pub fn execute_mid_query(
         max_suspensions,
         replan_discrepancy,
     } = opts;
-    // Exact counts observed mid-query describe *this* database state; the
-    // carried memo must likewise match it (it self-clears if not).
-    gamma.set_data_version(db.data_version());
+    // The carried memo must match *this* database state (it self-clears
+    // if not).
     memo.set_data_version(db.data_version());
     // Queries the DP cannot re-plan (GEQO territory) gain nothing from
     // stepping — and neither does a zero suspension budget: run those
@@ -329,9 +327,14 @@ pub fn execute_mid_query(
     };
 
     metrics.merge(&run.metrics);
-    let agg = (query.aggregate.as_ref())
-        .map(|spec| aggregate(db, query, &run.rows, spec, &mut metrics))
-        .transpose()?;
+    let finish = Executor::with_opts(
+        db,
+        ExecOpts {
+            tracer: run_tracer.clone(),
+            ..exec_opts
+        },
+    );
+    let agg = finish.aggregate(query, &run.rows, &mut metrics)?;
     stats.checkpoints = store.len();
     stats.splices = store.splices();
     stats.exact_gamma_entries = gamma.exact_len() - exact_before;
@@ -363,12 +366,11 @@ pub fn execute_straight(
     gamma: CardOverrides,
     exec_opts: ExecOpts,
 ) -> Result<MidQueryRun> {
+    let exec = Executor::with_opts(db, exec_opts);
     let TracedRun {
         rows, mut metrics, ..
-    } = Executor::with_opts(db, exec_opts).run_pipeline(query, plan, None)?;
-    let agg = (query.aggregate.as_ref())
-        .map(|spec| aggregate(db, query, &rows, spec, &mut metrics))
-        .transpose()?;
+    } = exec.run_pipeline(query, plan, None)?;
+    let agg = exec.aggregate(query, &rows, &mut metrics)?;
     Ok(MidQueryRun {
         rows,
         agg,

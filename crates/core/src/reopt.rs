@@ -249,17 +249,13 @@ impl<'a> ReOptimizer<'a> {
         let t_start = Stopwatch::start();
         let mut loop_span = tracer.span(names::REOPT_LOOP);
         let loop_tracer = tracer.under(&loop_span);
-        // Pin every per-run cache to the data state the samples were
-        // drawn from: the DP memo is planned against it, the sample
-        // cache's lookups/stores are qualified with it, and Γ entries
-        // carry the stamp drift rebasing later relies on.
-        let version = self.samples.data_version();
+        // Pin the DP memo to the data state the samples were drawn from.
+        // The sample cache keys itself by the samples it dry-runs over
+        // (see `validate_plan_cached`).
         let mut memo = PlanMemo::new();
-        memo.set_data_version(version);
+        memo.set_data_version(self.samples.data_version());
         let mut sample_cache = sample_cache.clone();
-        sample_cache.set_data_version(version);
         let mut gamma = CardOverrides::new();
-        gamma.set_data_version(version);
         let mut rounds: Vec<RoundReport> = Vec::new();
         let mut prev_plan: Option<PhysicalPlan> = None;
         let mut prev_trees: Vec<JoinTree> = Vec::new();

@@ -232,21 +232,30 @@ impl<'a> Executor<'a> {
         let TracedRun {
             rows, mut metrics, ..
         } = self.run_pipeline(query, plan, None)?;
-        let agg = match &query.aggregate {
-            Some(spec) => {
-                let mut span = self.opts.tracer.span(names::EXEC_AGGREGATE);
-                let agg = aggregate(self.db, query, &rows, spec, &mut metrics)?;
-                span.attr_u64("groups", agg.num_groups() as u64);
-                Some(agg)
-            }
-            None => None,
-        };
+        let agg = self.aggregate(query, &rows, &mut metrics)?;
         metrics.elapsed = start.elapsed();
         Ok(QueryOutput {
             join_rows: rows.len() as u64,
             agg,
             metrics,
         })
+    }
+
+    /// The query's aggregate stage over its join output `rows` (`None`
+    /// when the query has none), recorded as an `exec.aggregate` span.
+    pub fn aggregate(
+        &self,
+        query: &Query,
+        rows: &RowSet,
+        metrics: &mut ExecMetrics,
+    ) -> Result<Option<AggOutput>> {
+        let Some(spec) = &query.aggregate else {
+            return Ok(None);
+        };
+        let mut span = self.opts.tracer.span(names::EXEC_AGGREGATE);
+        let agg = aggregate(self.db, query, rows, spec, metrics)?;
+        span.attr_u64("groups", agg.num_groups() as u64);
+        Ok(Some(agg))
     }
 
     /// Execute the join pipeline, recording every node's output

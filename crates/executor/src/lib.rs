@@ -17,7 +17,7 @@
 //! Sequential scans and hash joins execute partition-parallel under
 //! [`exec::ExecOpts::threads`], with results bit-identical to serial
 //! execution (see the [`exec`] module docs for the determinism argument).
-//! [`reference`] is the row-at-a-time oracle the differential tests compare
+//! [`mod@reference`] is the row-at-a-time oracle the differential tests compare
 //! the engine against.
 
 pub mod agg;

@@ -14,7 +14,7 @@
 //!
 //! A memo is only meaningful for a fixed (query, optimizer configuration)
 //! pair; [`crate::Optimizer::optimize_incremental`] documents the
-//! contract and [`reopt_core`-level] callers own one memo per
+//! contract and `reopt_core`-level callers own one memo per
 //! re-optimization run.
 
 use reopt_common::RelSet;

@@ -17,7 +17,6 @@
 //! sets already known exactly — an estimate must never displace a fact.
 
 use reopt_common::RelSet;
-use reopt_storage::DataVersion;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Validated cardinalities for one query (the paper's Γ).
@@ -33,34 +32,12 @@ pub struct CardOverrides {
     /// Sets whose entry is an exact observed count, not a sampled
     /// estimate. Invariant: `exact ⊆ map.keys()`.
     exact: BTreeSet<RelSet>,
-    /// The [`DataVersion`] new entries are observed at.
-    version: DataVersion,
-    /// Per-set observation stamp. Invariant: `observed.keys() == map.keys()`.
-    observed: BTreeMap<RelSet, DataVersion>,
 }
 
 impl CardOverrides {
     /// Empty Γ (round 1 of Algorithm 1).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The [`DataVersion`] subsequently recorded entries are stamped with.
-    pub fn data_version(&self) -> DataVersion {
-        self.version
-    }
-
-    /// Stamp subsequently recorded entries as observed at `version`
-    /// (typically the sample store's
-    /// `data_version` — the data state the dry-runs actually ran over).
-    /// Existing entries keep their stamps; see [`CardOverrides::rebase`].
-    pub fn set_data_version(&mut self, version: DataVersion) {
-        self.version = version;
-    }
-
-    /// The [`DataVersion`] `set`'s entry was observed at, if present.
-    pub fn observed_at(&self, set: RelSet) -> Option<DataVersion> {
-        self.observed.get(&set).copied()
     }
 
     /// The validated row count for exactly `set`, if present.
@@ -83,7 +60,6 @@ impl CardOverrides {
             return;
         }
         self.map.insert(set, rows.max(0.0));
-        self.observed.insert(set, self.version);
     }
 
     /// Record an **exact observed** cardinality (mid-query
@@ -95,7 +71,6 @@ impl CardOverrides {
     pub fn insert_exact(&mut self, set: RelSet, rows: f64) {
         self.map.insert(set, rows.max(0.0));
         self.exact.insert(set);
-        self.observed.insert(set, self.version);
     }
 
     /// Whether `set`'s entry is an exact observed count.
@@ -122,39 +97,8 @@ impl CardOverrides {
             if self.map.insert(set, rows).is_none() {
                 fresh += 1;
             }
-            // Δ's entries keep the stamp of the data they were derived on.
-            let stamp = delta.observed_at(set).unwrap_or(delta.version);
-            self.observed.insert(set, stamp);
         }
         fresh
-    }
-
-    /// The base data moved to `live`: walk Γ and retire entries observed
-    /// on older data. Exact counts are *demoted* to sampled estimates —
-    /// they were facts about the previous data state, so they may stand in
-    /// as estimates until re-validated, but must no longer outrank fresh
-    /// sample runs. Already-sampled stale entries are *evicted* outright.
-    /// A demoted entry keeps its old stamp, so it survives at most one
-    /// rebase before eviction. Returns `(demoted, evicted)`.
-    pub fn rebase(&mut self, live: DataVersion) -> (usize, usize) {
-        self.version = live;
-        let stale: Vec<RelSet> = self
-            .observed
-            .iter()
-            .filter(|&(_, &v)| v < live)
-            .map(|(&s, _)| s)
-            .collect();
-        let (mut demoted, mut evicted) = (0, 0);
-        for set in stale {
-            if self.exact.remove(&set) {
-                demoted += 1;
-            } else {
-                self.map.remove(&set);
-                self.observed.remove(&set);
-                evicted += 1;
-            }
-        }
-        (demoted, evicted)
     }
 
     /// Number of validated sets.
@@ -262,60 +206,6 @@ mod tests {
         assert_eq!(g.get(rs(&[0])), Some(4.0));
         assert_eq!(g.exact_len(), 1);
         assert_eq!(g.len(), 1);
-    }
-
-    #[test]
-    fn entries_are_stamped_with_the_current_data_version() {
-        let mut g = CardOverrides::new();
-        g.insert(rs(&[0, 1]), 10.0);
-        assert_eq!(g.observed_at(rs(&[0, 1])), Some(DataVersion::ZERO));
-        g.set_data_version(DataVersion::new(3));
-        g.insert_exact(rs(&[1, 2]), 5.0);
-        assert_eq!(g.observed_at(rs(&[1, 2])), Some(DataVersion::new(3)));
-        assert_eq!(g.data_version(), DataVersion::new(3));
-        assert_eq!(g.observed_at(rs(&[7])), None);
-    }
-
-    #[test]
-    fn merge_carries_delta_observation_stamps() {
-        let mut d = CardOverrides::new();
-        d.set_data_version(DataVersion::new(2));
-        d.insert(rs(&[0, 1]), 10.0);
-        let mut g = CardOverrides::new();
-        g.merge(&d);
-        assert_eq!(g.observed_at(rs(&[0, 1])), Some(DataVersion::new(2)));
-    }
-
-    #[test]
-    fn rebase_demotes_stale_exact_and_evicts_stale_sampled() {
-        let mut g = CardOverrides::new();
-        g.set_data_version(DataVersion::new(1));
-        g.insert(rs(&[0, 1]), 10.0); // sampled at v1
-        g.insert_exact(rs(&[1, 2]), 42.0); // exact at v1
-        g.set_data_version(DataVersion::new(2));
-        g.insert(rs(&[2, 3]), 7.0); // sampled at v2: current
-
-        let (demoted, evicted) = g.rebase(DataVersion::new(2));
-        assert_eq!((demoted, evicted), (1, 1));
-        // The stale sampled entry is gone…
-        assert!(!g.contains(rs(&[0, 1])));
-        // …the stale exact entry survives as a mere estimate…
-        assert_eq!(g.get(rs(&[1, 2])), Some(42.0));
-        assert!(!g.is_exact(rs(&[1, 2])));
-        // …so a fresh sample run can now overwrite it…
-        g.insert(rs(&[1, 2]), 40.0);
-        assert_eq!(g.get(rs(&[1, 2])), Some(40.0));
-        // …and the current-version entry is untouched.
-        assert_eq!(g.get(rs(&[2, 3])), Some(7.0));
-
-        // A demoted-but-not-revalidated entry dies at the next rebase.
-        let mut h = CardOverrides::new();
-        h.set_data_version(DataVersion::new(1));
-        h.insert_exact(rs(&[0]), 3.0);
-        h.rebase(DataVersion::new(2));
-        let (demoted, evicted) = h.rebase(DataVersion::new(3));
-        assert_eq!((demoted, evicted), (0, 1));
-        assert!(h.is_empty());
     }
 
     #[test]

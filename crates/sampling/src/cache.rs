@@ -29,14 +29,25 @@
 //! one query template never re-runs for another template that embeds the
 //! same subtree.
 //!
-//! A cache is only meaningful for one ([`crate::SampleStore`],
-//! [`crate::ValidationOpts`]) pair — `min_rows` is baked into the
-//! recorded estimates (the executor re-applies the row cap itself);
-//! [`crate::validate_plan_cached`] documents the contract. Row sets are
-//! stored and replayed by value: dry-run intermediates are bounded by the
-//! deliberately small sample tables, so plain clones beat the API
-//! complexity of sharing them.
+//! **Freshness.** A row set is current exactly while the samples of the
+//! tables it read are unchanged, so every entry is keyed by the
+//! `(TableId, SampleStore::table_version)` pairs of its base tables: a
+//! handle is bound to one [`SampleStore`] per dry run
+//! ([`SharedSampleRunCache::bind`]) and folds those versions into each
+//! subtree fingerprint. A lookup issued against one sample generation can
+//! never replay rows drawn from another — whatever snapshot the session
+//! holds, and however the store was produced — while subtrees over tables
+//! a refresh left alone keep hitting. [`SharedSampleRunCache::retain_current`]
+//! then frees what a refresh made unreachable.
+//!
+//! A cache is only meaningful for one [`crate::ValidationOpts`] — `min_rows`
+//! is baked into the recorded estimates (the executor re-applies the row
+//! cap itself); [`crate::validate_plan_cached`] documents the contract.
+//! Row sets are stored and replayed by value: dry-run intermediates are
+//! bounded by the deliberately small sample tables, so plain clones beat
+//! the API complexity of sharing them.
 
+use crate::SampleStore;
 use reopt_common::hash::FxHasher;
 use reopt_common::{FxHashMap, RelSet, TableId};
 use reopt_executor::{RowSet, SubtreeCache};
@@ -45,14 +56,12 @@ use reopt_storage::{DataVersion, Value};
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// `(relation set, fingerprint, data version)`: within one (query,
-/// samples, opts) contract the fingerprint is itself a function of the
-/// relation set, so the composite key makes a cross-set hash collision —
-/// which would silently replay the wrong rows — structurally impossible.
-/// The [`DataVersion`] component makes a cross-version hit equally
-/// impossible: rows dry-run before an ingest can never answer a lookup
-/// issued after it.
-type Key = (RelSet, u64, DataVersion);
+/// `(relation set, fingerprint)`: within one (query, samples, opts)
+/// contract the fingerprint is itself a function of the relation set, so
+/// the composite key makes a cross-set hash collision — which would
+/// silently replay the wrong rows — structurally impossible. The
+/// fingerprint folds in the sample version of every covered table.
+type Key = (RelSet, u64);
 
 /// What every handle of one [`SharedSampleRunCache`] shares.
 #[derive(Debug, Default)]
@@ -63,17 +72,10 @@ struct CacheState {
     /// serve several queries whose relation sets overlap but differ in
     /// predicates.
     validated: FxHashMap<Key, f64>,
-    /// Base tables covered by each fingerprint, recorded when the
-    /// fingerprint is computed. Lets a partial sample refresh migrate
-    /// entries whose tables were untouched instead of dropping the whole
-    /// cache (see [`SharedSampleRunCache::migrate_version`]).
-    tables_of: FxHashMap<u64, Vec<TableId>>,
-    /// Versions below this were migrated away (see
-    /// [`SharedSampleRunCache::migrate_version`]): a handle still pinned to
-    /// one may look up (and miss) but no longer stores, so a session that
-    /// outlives its sample generation cannot re-insert entries nothing
-    /// will ever migrate or read again.
-    floor: DataVersion,
+    /// Base tables covered by each fingerprint with the sample version it
+    /// was computed at, recorded when the fingerprint is computed — what
+    /// [`SharedSampleRunCache::retain_current`] checks.
+    tables_of: FxHashMap<u64, Vec<(TableId, DataVersion)>>,
     hits: usize,
     executed: usize,
 }
@@ -95,8 +97,8 @@ pub struct SampleCacheStats {
 /// handle. Clones share one store, so concurrent validations of
 /// *different* queries pool their dry-run work — a subtree validated under
 /// one template is replayed, not re-executed, when another template embeds
-/// it (the fingerprint includes base tables, predicates and join keys, so
-/// a hit is exact).
+/// it (the fingerprint includes base tables, their sample versions,
+/// predicates and join keys, so a hit is exact).
 ///
 /// Locking is per cache operation, not per validation: two sessions
 /// validating disjoint plans proceed mostly in parallel, serializing only
@@ -104,23 +106,20 @@ pub struct SampleCacheStats {
 /// counters attributed to one run may include a neighbor's traffic; the
 /// lifetime totals in [`SampleCacheStats`] are always exact.
 ///
-/// Each *handle* carries its own [`DataVersion`] (set via
-/// [`SharedSampleRunCache::set_data_version`], copied by `clone`)
-/// qualifying every lookup and store it makes: a session that was admitted
-/// under an older database snapshot keeps reading and writing entries
-/// qualified with *its* version even while the serving layer has already
-/// moved newer sessions forward — the shared map simply holds both
-/// generations, and neither can answer the other's lookups.
+/// Each *handle* carries the table versions of the store it was last bound
+/// to (copied by `clone`): a session admitted under an older snapshot keeps
+/// reading and writing entries of *its* samples while newer sessions read
+/// theirs from the same map.
 #[derive(Debug, Clone, Default)]
 pub struct SharedSampleRunCache {
     inner: Arc<Mutex<CacheState>>,
-    /// Handle-local: deliberately outside the mutex (see above).
-    version: DataVersion,
+    /// Handle-local: deliberately outside the mutex (see above). Tables
+    /// absent from it (an unbound handle) read as [`DataVersion::ZERO`].
+    versions: Arc<FxHashMap<TableId, DataVersion>>,
 }
 
 impl SharedSampleRunCache {
-    /// Fresh, empty cache ([`DataVersion::ZERO`] until
-    /// [`Self::set_data_version`] — matching a never-ingested database).
+    /// Fresh, empty cache, unbound.
     pub fn new() -> Self {
         Self::default()
     }
@@ -143,119 +142,82 @@ impl SharedSampleRunCache {
         }
     }
 
-    /// Drop everything — e.g. when the sample store is rebuilt.
-    pub fn clear(&self) {
-        let mut g = self.lock();
-        g.results.clear();
-        g.validated.clear();
-        g.tables_of.clear();
+    /// Qualify this handle's subsequent fingerprints with `samples`' table
+    /// versions: it then reads and writes exactly the entries dry-run over
+    /// those samples.
+    pub fn bind(&mut self, samples: &SampleStore) {
+        self.versions = Arc::clone(samples.table_versions());
     }
 
-    /// Qualify this handle's subsequent lookups and stores with `version`.
-    /// Entries recorded under other versions stay resident but become
-    /// unreachable from it — a stale replay is structurally impossible
-    /// rather than merely unlikely.
-    pub fn set_data_version(&mut self, version: DataVersion) {
-        self.version = version;
+    fn version_of(&self, table: TableId) -> DataVersion {
+        self.versions
+            .get(&table)
+            .copied()
+            .unwrap_or(DataVersion::ZERO)
     }
 
-    /// The data version qualifying this handle's lookups and stores.
-    pub fn data_version(&self) -> DataVersion {
-        self.version
-    }
-
-    /// The full-database estimate previously derived for `(set, fp)` at
-    /// this handle's data version, if any.
+    /// The full-database estimate previously derived for `(set, fp)`, if
+    /// any.
     pub fn validated_estimate(&self, set: RelSet, fp: u64) -> Option<f64> {
-        self.lock().validated.get(&(set, fp, self.version)).copied()
+        self.lock().validated.get(&(set, fp)).copied()
     }
 
-    /// Record the full-database estimate derived for `(set, fp)` at this
-    /// handle's data version.
+    /// Record the full-database estimate derived for `(set, fp)`.
     pub fn record_validated(&self, set: RelSet, fp: u64, estimate: f64) {
-        let mut g = self.lock();
-        if self.version >= g.floor {
-            g.validated.insert((set, fp, self.version), estimate);
-        }
+        self.lock().validated.insert((set, fp), estimate);
     }
 
-    /// Surgical-refresh migration, across all sharers: re-key every entry
-    /// recorded at `from` to `to` when its fingerprint touches none of the
-    /// `refreshed` base tables, and drop the rest — their sample rows were
-    /// redrawn. Untouched tables' samples are pointer-identical across a
-    /// [`crate::SampleStore::refresh_tables`], so a migrated entry's rows
-    /// are exactly what a fresh dry-run at `to` would produce. Entries
-    /// whose fingerprint was never sighted via [`SubtreeCache::fingerprint`]
-    /// are dropped conservatively. Handles still pinned below `to` stop
-    /// storing from here on. Returns `(kept, dropped)`.
-    pub fn migrate_version(
-        &self,
-        from: DataVersion,
-        to: DataVersion,
-        refreshed: &[TableId],
-    ) -> (usize, usize) {
-        if from == to {
-            return (0, 0);
-        }
+    /// Across all sharers, keep only entries every covered table of which
+    /// still has the sample version `samples` holds, and drop the rest —
+    /// including entries stored by sessions on an older snapshot, which no
+    /// session on `samples` could ever read. Entries whose fingerprint was
+    /// never sighted via [`SubtreeCache::fingerprint`] are dropped
+    /// conservatively. Returns `(kept, dropped)`, counting row sets and
+    /// estimates alike.
+    pub fn retain_current(&self, samples: &SampleStore) -> (usize, usize) {
         let mut g = self.lock();
-        g.floor = g.floor.max(to);
         let CacheState {
             results,
             validated,
             tables_of,
             ..
         } = &mut *g;
-        let survives = |fp: u64| {
-            tables_of
-                .get(&fp)
-                .is_some_and(|ts| ts.iter().all(|t| !refreshed.contains(t)))
-        };
-        let (k1, d1) = rekey(results, from, to, survives);
-        let (k2, d2) = rekey(validated, from, to, survives);
-        (k1 + k2, d1 + d2)
+        // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
+        tables_of.retain(|_, tables| {
+            tables
+                .iter()
+                .all(|&(t, v)| samples.table_version(t).ok() == Some(v))
+        });
+        let before = results.len() + validated.len();
+        // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
+        results.retain(|k, _| tables_of.contains_key(&k.1));
+        // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
+        validated.retain(|k, _| tables_of.contains_key(&k.1));
+        let kept = results.len() + validated.len();
+        (kept, before - kept)
     }
-}
-
-/// Move `map`'s entries at version `from` to `to` when `survives(fp)`,
-/// dropping the others. Returns `(kept, dropped)`.
-fn rekey<V>(
-    map: &mut FxHashMap<Key, V>,
-    from: DataVersion,
-    to: DataVersion,
-    survives: impl Fn(u64) -> bool,
-) -> (usize, usize) {
-    let keys: Vec<Key> = map
-        // lint: ordered-ok(re-keying is per-entry; visit order is irrelevant)
-        .keys()
-        .filter(|k| k.2 == from)
-        .copied()
-        .collect();
-    let (mut kept, mut dropped) = (0, 0);
-    for key in keys {
-        if let Some(v) = map.remove(&key) {
-            if survives(key.1) {
-                map.insert((key.0, key.1, to), v);
-                kept += 1;
-            } else {
-                dropped += 1;
-            }
-        }
-    }
-    (kept, dropped)
 }
 
 impl SubtreeCache for SharedSampleRunCache {
     fn fingerprint(&mut self, query: &Query, plan: &PhysicalPlan) -> Option<u64> {
-        let fp = subtree_fingerprint(query, plan);
-        // Record the covered base tables so a partial sample refresh can
-        // tell which entries survive (see `migrate_version`). First
-        // sighting wins — the fingerprint already folds the tables in, so
+        // The logical subtree, then the sample version of each covered
+        // relation's table in RelId order.
+        let mut h = FxHasher::default();
+        h.write_u64(subtree_fingerprint(query, plan));
+        for rel in plan.relset().iter() {
+            let version = query.table_of(rel).map(|t| self.version_of(t));
+            h.write_u64(version.map_or(u64::MAX, |v| v.get()));
+        }
+        let fp = h.finish();
+        // Record the covered tables and versions for `retain_current`.
+        // First sighting wins — the fingerprint already folds both in, so
         // later sightings agree.
         self.lock().tables_of.entry(fp).or_insert_with(|| {
-            let mut tables: Vec<TableId> = plan
+            let mut tables: Vec<(TableId, DataVersion)> = plan
                 .relset()
                 .iter()
                 .filter_map(|rel| query.table_of(rel).ok())
+                .map(|t| (t, self.version_of(t)))
                 .collect();
             tables.sort_unstable();
             tables.dedup();
@@ -266,14 +228,14 @@ impl SubtreeCache for SharedSampleRunCache {
 
     fn lookup(&mut self, set: RelSet, fp: u64) -> Option<RowSet> {
         let mut g = self.lock();
-        let rows = g.results.get(&(set, fp, self.version))?.clone();
+        let rows = g.results.get(&(set, fp))?.clone();
         g.hits += 1;
         Some(rows)
     }
 
     fn peek_rows(&mut self, set: RelSet, fp: u64) -> Option<u64> {
         let mut g = self.lock();
-        let n = g.results.get(&(set, fp, self.version))?.len() as u64;
+        let n = g.results.get(&(set, fp))?.len() as u64;
         g.hits += 1;
         Some(n)
     }
@@ -281,9 +243,7 @@ impl SubtreeCache for SharedSampleRunCache {
     fn store(&mut self, set: RelSet, fp: u64, rows: &RowSet) {
         let mut g = self.lock();
         g.executed += 1;
-        if self.version >= g.floor {
-            g.results.insert((set, fp, self.version), rows.clone());
-        }
+        g.results.insert((set, fp), rows.clone());
     }
 }
 
@@ -503,8 +463,32 @@ mod tests {
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
-        shared.clear();
-        assert_eq!(shared.stats().entries, 0);
+    }
+
+    /// `k` one-column tables of 1000 rows, ids `0..k`.
+    fn tables(k: usize) -> reopt_storage::Database {
+        use reopt_storage::{Column, ColumnDef, Database, LogicalType, Table, TableSchema};
+        let mut db = Database::new();
+        for i in 0..k {
+            db.add_table_with(|id| {
+                let schema = TableSchema::new(vec![ColumnDef::new("k", LogicalType::Int)])?;
+                let data = Column::from_i64(LogicalType::Int, (0..1000).collect());
+                Table::new(id, format!("t{i}"), schema, vec![data])
+            })
+            .unwrap();
+        }
+        db
+    }
+
+    /// A store drawn over `k` tables, and one in which table `redrawn`
+    /// was refreshed after an append to it.
+    fn two_generations(k: usize, redrawn: u32) -> (SampleStore, SampleStore) {
+        let mut db = tables(k);
+        let old = SampleStore::build(&db, crate::SampleConfig::default()).unwrap();
+        let t = TableId::new(redrawn);
+        db.append_rows(t, &[vec![Value::Int(7)]]).unwrap();
+        let new = old.refresh_tables(&db, &[t]).unwrap();
+        (old, new)
     }
 
     #[test]
@@ -512,76 +496,82 @@ mod tests {
         use reopt_executor::SubtreeCache as _;
         let q = chain_query(2);
         let p = join(JoinAlgo::Hash, scan(0), scan(1), 0, 1);
+        let (old, new) = two_generations(2, 1);
         let shared = SharedSampleRunCache::new();
         let mut old_session = shared.clone();
         let mut new_session = shared.clone();
-        old_session.set_data_version(DataVersion::new(1));
-        new_session.set_data_version(DataVersion::new(2));
-        let fp = old_session.fingerprint(&q, &p).unwrap();
+        old_session.bind(&old);
+        new_session.bind(&new);
+        let old_fp = old_session.fingerprint(&q, &p).unwrap();
+        let new_fp = new_session.fingerprint(&q, &p).unwrap();
+        assert_ne!(old_fp, new_fp, "table 1's sample was redrawn");
         let set = p.relset();
-        old_session.store(set, fp, &RowSet::single(RelId::new(0), vec![0, 1]));
-        old_session.record_validated(set, fp, 42.0);
-        // A session admitted after the ingest sees nothing from before it…
-        assert!(new_session.lookup(set, fp).is_none());
-        assert!(new_session.validated_estimate(set, fp).is_none());
+        old_session.store(set, old_fp, &RowSet::single(RelId::new(0), vec![0, 1]));
+        old_session.record_validated(set, old_fp, 42.0);
+        // A session on the redrawn samples sees nothing from before…
+        assert!(new_session.lookup(set, new_fp).is_none());
+        assert!(new_session.validated_estimate(set, new_fp).is_none());
         // …while the old-snapshot session keeps replaying its own entries,
         // even though both share one underlying cache.
-        assert!(old_session.lookup(set, fp).is_some());
-        assert_eq!(old_session.validated_estimate(set, fp), Some(42.0));
+        assert!(old_session.lookup(set, old_fp).is_some());
+        assert_eq!(old_session.validated_estimate(set, old_fp), Some(42.0));
         assert_eq!(shared.stats().entries, 1);
+        // A subtree over the untouched table alone is the same entry in
+        // both generations.
+        assert_eq!(
+            old_session.fingerprint(&q, &scan(0)),
+            new_session.fingerprint(&q, &scan(0))
+        );
     }
 
     #[test]
-    fn migrate_version_keeps_disjoint_entries_and_drops_touched_ones() {
+    fn retain_current_keeps_disjoint_entries_and_drops_touched_ones() {
         use reopt_executor::SubtreeCache as _;
         let q = chain_query(3);
         let p01 = join(JoinAlgo::Hash, scan(0), scan(1), 0, 1);
         let p12 = join(JoinAlgo::Hash, scan(1), scan(2), 1, 2);
+        let (old, new) = two_generations(3, 2);
         let shared = SharedSampleRunCache::new();
         let mut h = shared.clone();
-        h.set_data_version(DataVersion::new(1));
+        h.bind(&old);
         let fp01 = h.fingerprint(&q, &p01).unwrap();
         let fp12 = h.fingerprint(&q, &p12).unwrap();
         h.store(p01.relset(), fp01, &RowSet::single(RelId::new(0), vec![0]));
         h.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
         h.record_validated(p01.relset(), fp01, 10.0);
         h.record_validated(p12.relset(), fp12, 20.0);
-        // Table 2 was refreshed: the {1,2} entries die, the {0,1} migrate.
-        let (kept, dropped) =
-            shared.migrate_version(DataVersion::new(1), DataVersion::new(2), &[TableId::new(2)]);
-        assert_eq!((kept, dropped), (2, 2));
-        let mut at2 = shared.clone();
-        at2.set_data_version(DataVersion::new(2));
-        assert!(at2.lookup(p01.relset(), fp01).is_some());
-        assert_eq!(at2.validated_estimate(p01.relset(), fp01), Some(10.0));
-        assert!(at2.lookup(p12.relset(), fp12).is_none());
-        assert!(at2.validated_estimate(p12.relset(), fp12).is_none());
-        // Nothing is left behind at the old version either…
-        let mut at1 = shared.clone();
-        at1.set_data_version(DataVersion::new(1));
-        assert!(at1.lookup(p01.relset(), fp01).is_none());
-        assert!(at1.lookup(p12.relset(), fp12).is_none());
-        // …and a session still pinned to it cannot put anything back.
-        let entries = shared.stats();
-        at1.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
-        at1.record_validated(p12.relset(), fp12, 20.0);
-        assert!(at1.lookup(p12.relset(), fp12).is_none());
-        assert_eq!(shared.stats().entries, entries.entries);
-        assert_eq!(shared.stats().validated, entries.validated);
+        // Table 2 was refreshed: the {1,2} entries die, the {0,1} stay.
+        assert_eq!(shared.retain_current(&new), (2, 2));
+        let mut current = shared.clone();
+        current.bind(&new);
+        assert_eq!(current.fingerprint(&q, &p01), Some(fp01));
+        assert!(current.lookup(p01.relset(), fp01).is_some());
+        assert_eq!(current.validated_estimate(p01.relset(), fp01), Some(10.0));
+        let fresh12 = current.fingerprint(&q, &p12).unwrap();
+        assert_ne!(fresh12, fp12);
+        assert!(current.lookup(p12.relset(), fresh12).is_none());
+        // A session still bound to the old samples no longer finds the
+        // dropped entry; what it stores again is unreachable from the new
+        // samples and goes at the next retain.
+        assert!(h.lookup(p12.relset(), fp12).is_none());
+        h.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
+        assert_eq!(shared.stats().entries, 2);
+        assert_eq!(shared.retain_current(&new), (2, 1));
+        assert_eq!(shared.stats().entries, 1);
+        // With nothing redrawn, a retain keeps everything.
+        assert_eq!(shared.retain_current(&new), (2, 0));
     }
 
     #[test]
-    fn migrate_version_drops_unsighted_fingerprints() {
+    fn retain_current_drops_unsighted_fingerprints() {
         // An entry stored without ever passing through `fingerprint` has
         // no recorded table set and must be dropped conservatively.
         use reopt_executor::SubtreeCache as _;
+        let (_, new) = two_generations(1, 0);
         let mut cache = SharedSampleRunCache::new();
-        cache.set_data_version(DataVersion::new(1));
         let set = RelSet::single(RelId::new(0));
         cache.store(set, 0xdead, &RowSet::single(RelId::new(0), vec![0]));
-        let (kept, dropped) =
-            cache.migrate_version(DataVersion::new(1), DataVersion::new(2), &[TableId::new(9)]);
-        assert_eq!((kept, dropped), (0, 1));
+        assert_eq!(cache.retain_current(&new), (0, 1));
     }
 
     #[test]

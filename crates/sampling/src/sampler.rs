@@ -12,6 +12,7 @@ use rand::RngExt;
 use reopt_common::rng::derive_rng;
 use reopt_common::{Error, FxHashMap, Result, TableId};
 use reopt_storage::{DataVersion, Database, Table};
+use std::sync::Arc;
 
 /// Sampling configuration.
 #[derive(Debug, Clone)]
@@ -43,15 +44,15 @@ pub struct SampleStore {
     /// full copies and empty tables).
     scale: FxHashMap<TableId, f64>,
     config: SampleConfig,
-    /// The base database's [`DataVersion`] at draw time — samples describe
-    /// exactly that data state, and every cache keyed off this store
-    /// qualifies its entries with it.
+    /// The base database's [`DataVersion`] at the latest draw.
     data_version: DataVersion,
     /// Per table: the base database's [`DataVersion`] its sample was last
     /// drawn at. A [`SampleStore::refresh_tables`] advances only the
     /// redrawn tables, so a result validated on table `t`'s sample is
-    /// current exactly while `table_version(t)` has not moved.
-    drawn_at: FxHashMap<TableId, DataVersion>,
+    /// current exactly while `table_version(t)` has not moved — the one
+    /// freshness rule of every sample-derived cache. Shared, so a dry-run
+    /// cache handle binds to a store with one `Arc` clone.
+    drawn_at: Arc<FxHashMap<TableId, DataVersion>>,
 }
 
 impl SampleStore {
@@ -83,7 +84,7 @@ impl SampleStore {
             scale,
             config,
             data_version: db.data_version(),
-            drawn_at,
+            drawn_at: Arc::new(drawn_at),
         })
     }
 
@@ -93,14 +94,16 @@ impl SampleStore {
     /// [`SampleStore::build`], so a refreshed table's sample is
     /// bit-identical to what a full rebuild over `db` would produce.
     ///
-    /// The returned store is stamped with `db`'s current [`DataVersion`];
-    /// untouched tables keep describing the data state they were drawn at,
-    /// which is exactly the under-threshold staleness the drift monitor
-    /// already tolerates for them.
+    /// Each redrawn table's [`SampleStore::table_version`] becomes `db`'s
+    /// current [`DataVersion`] — a table already drawn at that version
+    /// redraws bit-identically and keeps it. Untouched tables keep
+    /// describing the data state they were drawn at, which is exactly the
+    /// under-threshold staleness the drift monitor already tolerates for
+    /// them.
     pub fn refresh_tables(&self, db: &Database, tables: &[TableId]) -> Result<SampleStore> {
         let mut sample_db = self.sample_db.clone();
         let mut scale = self.scale.clone();
-        let mut drawn_at = self.drawn_at.clone();
+        let mut drawn_at = FxHashMap::clone(&self.drawn_at);
         let mut todo: Vec<TableId> = tables.to_vec();
         todo.sort_unstable();
         todo.dedup();
@@ -120,7 +123,7 @@ impl SampleStore {
             scale,
             config: self.config.clone(),
             data_version: db.data_version(),
-            drawn_at,
+            drawn_at: Arc::new(drawn_at),
         })
     }
 
@@ -148,7 +151,9 @@ impl SampleStore {
         &self.config
     }
 
-    /// The base database's [`DataVersion`] these samples were drawn at.
+    /// The base database's [`DataVersion`] at this store's latest draw.
+    /// Individual tables may have been drawn earlier; see
+    /// [`SampleStore::table_version`].
     pub fn data_version(&self) -> DataVersion {
         self.data_version
     }
@@ -161,6 +166,11 @@ impl SampleStore {
             .get(&table)
             .copied()
             .ok_or_else(|| Error::invalid(format!("no sample recorded for table {table}")))
+    }
+
+    /// Every table's [`SampleStore::table_version`], shared.
+    pub(crate) fn table_versions(&self) -> &Arc<FxHashMap<TableId, DataVersion>> {
+        &self.drawn_at
     }
 }
 

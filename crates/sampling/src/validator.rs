@@ -90,11 +90,12 @@ pub fn validate_plan(
 /// [`SharedSampleRunCache`]: subtrees whose canonical fingerprint was
 /// executed before are replayed from the cache, and subtrees whose
 /// full-database estimate was already derived are never re-scaled. The
-/// cache must be used with one fixed (samples, opts) pair only — recorded
-/// estimates bake in `opts.min_rows`, so changing options requires a fresh
-/// cache (the intermediate-row cap is exempt: the executor re-checks it on
-/// every replay). Sharing one cache across *queries* of the same database
-/// is sound: entries are keyed by the table-aware canonical fingerprint.
+/// cache must be used with one fixed `opts` only — recorded estimates bake
+/// in `opts.min_rows`, so changing options requires a fresh cache (the
+/// intermediate-row cap is exempt: the executor re-checks it on every
+/// replay). Sharing one cache across *queries* and *sample stores* of the
+/// same database is sound: entries are keyed by the table-aware canonical
+/// fingerprint and the sample version of every covered table.
 pub fn validate_plan_cached(
     query: &Query,
     plan: &PhysicalPlan,
@@ -125,14 +126,13 @@ fn dry_run(
     // trace's relation sets are exactly the plan's node relsets, and
     // within one plan a relset identifies its subtree uniquely. Routed
     // through the cache's own `fingerprint` so it records each subtree's
-    // base tables for surgical-refresh migration.
+    // base tables and their sample versions.
     let mut fps: FxHashMap<RelSet, u64> = FxHashMap::default();
     let before = cache.as_mut().map(|c| {
-        // Qualify every cache operation with the samples' data version: a
-        // dry-run recorded before an ingest is unreachable from lookups
-        // issued against samples drawn after it (and vice versa), so a
-        // stale replay is structurally impossible.
-        c.set_data_version(samples.data_version());
+        // Key every cache operation by these samples' table versions: rows
+        // dry-run over another sample of any covered table are
+        // unreachable, so a stale replay is structurally impossible.
+        c.bind(samples);
         plan.visit(&mut |n| {
             if let Some(fp) = c.fingerprint(query, n) {
                 fps.insert(n.relset(), fp);
@@ -159,8 +159,6 @@ fn dry_run(
     };
 
     let mut delta = CardOverrides::new();
-    // Δ's entries describe the data state the samples were drawn from.
-    delta.set_data_version(samples.data_version());
     for (set, sample_rows) in &traced.node_cards {
         if set.len() < 2 && !opts.validate_leaves {
             continue;
@@ -366,6 +364,39 @@ mod tests {
         // And matches a from-scratch validation exactly.
         let fresh = validate_plan(&q, &plan, &samples2, &opts).unwrap();
         assert_eq!(fresh.delta.get(RelSet::first_n(2)).unwrap(), est_after);
+    }
+
+    #[test]
+    fn cached_validation_keys_by_per_table_sample_versions() {
+        use reopt_storage::Value;
+
+        // Two stores at one data version with different samples of table
+        // 0: one surgically refreshed only table 1 after the append, the
+        // other was drawn whole. A cache keyed by the store-level version
+        // alone replayed the first store's rows for the second.
+        let mut db = ott_pair(10, 4); // 40 rows/table: sampled as full copies
+        let drawn = SampleStore::build(&db, SampleConfig::default()).unwrap();
+        let rows: Vec<Vec<Value>> = (0..4).map(|_| vec![Value::Int(0), Value::Int(0)]).collect();
+        db.append_rows(TableId::new(0), &rows).unwrap();
+        let a = drawn.refresh_tables(&db, &[TableId::new(1)]).unwrap();
+        let b = SampleStore::build(&db, SampleConfig::default()).unwrap();
+        assert_eq!(a.data_version(), b.data_version());
+
+        let (q, plan) = pair_query(0, 0);
+        let opts = ValidationOpts::default();
+        let mut cache = SharedSampleRunCache::new();
+        let via_a = validate_plan_cached(&q, &plan, &a, &opts, &mut cache).unwrap();
+        assert_eq!(via_a.delta.get(RelSet::first_n(2)), Some(16.0));
+        let via_b = validate_plan_cached(&q, &plan, &b, &opts, &mut cache).unwrap();
+        let uncached = validate_plan(&q, &plan, &b, &opts).unwrap();
+        assert_eq!(uncached.delta.get(RelSet::first_n(2)), Some(32.0));
+        assert_eq!(
+            via_b.delta.get(RelSet::first_n(2)),
+            uncached.delta.get(RelSet::first_n(2)),
+            "a dry run over table 0's old sample was replayed"
+        );
+        // Table 1's sample is the same in both stores: its scan is shared.
+        assert!(via_b.cache_hits > 0);
     }
 
     #[test]

@@ -31,20 +31,19 @@
 //! 4. **Refresh surgically if over threshold.** Only the *drifted*
 //!    tables' samples are redrawn ([`SampleStore::refresh_tables`] — the
 //!    rest keep their `Arc`s) and the drifted tables' baseline entries
-//!    re-anchored; shared dry-run entries touching only untouched tables
-//!    are migrated to the new data version instead of dropped. Under the
-//!    threshold the samples and baseline carry over unchanged (cached
-//!    validations still describe the distribution to within the
-//!    threshold).
+//!    re-anchored; shared dry-run entries over a redrawn table are dropped
+//!    ([`reopt_sampling::SharedSampleRunCache::retain_current`]), the rest
+//!    stay exactly where they are. Under the threshold the samples and
+//!    baseline carry over unchanged (cached validations still describe
+//!    the distribution to within the threshold).
 //! 5. **Publish.** The new snapshot replaces the old one. There is no
-//!    second step: a cached plan records the sample version of each base
-//!    table it was validated on, and admission compares that against the
-//!    admitting snapshot (see [`crate::cache`]) — so from the first
-//!    reader that loads the post-refresh snapshot on, plans touching a
-//!    redrawn table re-validate, plans over untouched tables keep serving
-//!    warm, and the statistics version does **not** move.
-//!    [`QueryService::bump_stats_version`] (or
-//!    [`QueryService::refresh_full`]) remains the full-flush fallback.
+//!    second step: cached plans and dry-run entries are keyed by the
+//!    sample version of each base table they read, and admission compares
+//!    a plan's versions against the admitting snapshot (see
+//!    [`crate::cache`]) — so from the first reader that loads the
+//!    post-refresh snapshot on, plans touching a redrawn table
+//!    re-validate and plans over untouched tables keep serving warm.
+//!    [`QueryService::refresh_full`] is the same refresh over every table.
 //!
 //! Every step records spans (`service.ingest`, `ingest.analyze`,
 //! `ingest.drift`, `ingest.refresh`) and `ingest.*` counters, so an
@@ -57,7 +56,7 @@ use reopt_common::{Error, Result, TableId};
 use reopt_sampling::SampleStore;
 use reopt_stats::{analyze_incremental, database_drift, DatabaseStats};
 use reopt_storage::{DataVersion, Database, Value};
-use reopt_telemetry::{names, QueryTrace};
+use reopt_telemetry::{names, QueryTrace, Tracer};
 
 /// Drift-monitor knobs (part of [`crate::ServiceConfig`]).
 #[derive(Debug, Clone)]
@@ -71,8 +70,7 @@ pub struct DriftConfig {
     /// Automatically refresh drifted tables' samples — which sends the
     /// plans touching them to re-validation — when the threshold is
     /// crossed (on by default). Off means ingests only report drift;
-    /// eviction waits for a manual [`QueryService::refresh_full`] /
-    /// [`QueryService::bump_stats_version`].
+    /// re-validation waits for a manual [`QueryService::refresh_full`].
     pub auto_refresh: bool,
     /// Acceptance band for cached-plan re-validation: a surgically-evicted
     /// plan is re-admitted without re-optimization when its re-validated
@@ -133,8 +131,6 @@ pub struct IngestReport {
     pub rows_appended: usize,
     /// Rows deleted/expired by this operation.
     pub rows_deleted: usize,
-    /// The mutated table's new version (equals `data_version`).
-    pub table_version: DataVersion,
     /// The database version this ingest landed at.
     pub data_version: DataVersion,
     /// Incremental-ANALYZE work: tables reused verbatim.
@@ -153,11 +149,6 @@ pub struct IngestReport {
     /// surgically: drifted tables' samples redrawn, so plans touching them
     /// re-validate on their next admission.
     pub refreshed: bool,
-    /// The service's statistics version after this ingest. A surgical
-    /// refresh does *not* bump it — only a full flush
-    /// ([`QueryService::refresh_full`] /
-    /// [`QueryService::bump_stats_version`]) does.
-    pub stats_version: u64,
     /// Span trace of this ingest, present iff tracing is on (see
     /// [`crate::ServiceConfig::trace`]).
     pub trace: Option<Arc<QueryTrace>>,
@@ -187,27 +178,65 @@ fn reanchor_baseline(
 }
 
 impl QueryService {
-    /// Full-flush fallback to the surgical drift reaction: rebuild *all*
-    /// samples from the live data, re-anchor the whole baseline, and bump
-    /// the statistics version (lazily evicting every cached plan and
-    /// dry-run row set). Returns the new statistics version.
-    pub fn refresh_full(&self) -> Result<u64> {
+    /// Refresh every table's sample from the live data and re-anchor the
+    /// whole baseline — the drift reaction applied to all tables. A table
+    /// already drawn at the live [`DataVersion`] redraws bit-identically
+    /// and keeps its version, so its plans and dry runs stay current;
+    /// plans over any other table re-validate on their next admission.
+    pub fn refresh_full(&self) -> Result<()> {
         let (writer, base) = self.begin_write();
         let engine = &base.engine;
-        let db = Arc::clone(engine.db());
-        let stats = Arc::clone(engine.stats());
-        let samples = Arc::new(SampleStore::build(&db, engine.samples().config().clone())?);
+        let all: Vec<TableId> = engine.db().tables().iter().map(|t| t.id()).collect();
+        let (samples, baseline) = self.refresh(
+            &base,
+            engine.db(),
+            engine.stats(),
+            &all,
+            &Tracer::disabled(),
+        )?;
+        let (db, stats) = (Arc::clone(engine.db()), Arc::clone(engine.stats()));
         self.publish(
             &writer,
             Snapshot {
-                engine: engine.with_data(db, Arc::clone(&stats), samples),
-                baseline: stats,
+                engine: engine.with_data(db, stats, samples),
+                baseline,
             },
         );
-        drop(writer);
-        let v = self.bump_stats_version();
+        Ok(())
+    }
+
+    /// Redraw `tables`' samples over `db` and re-anchor their baseline
+    /// entries to `stats`, deriving from `base`. Drops the shared dry-run
+    /// entries the redraw made unreachable before the caller publishes, so
+    /// the first reader of the new snapshot already finds only current
+    /// ones (entries a session still on an older snapshot stores later go
+    /// at the next refresh).
+    fn refresh(
+        &self,
+        base: &Snapshot,
+        db: &Database,
+        stats: &DatabaseStats,
+        tables: &[TableId],
+        tracer: &Tracer,
+    ) -> Result<(Arc<SampleStore>, Arc<DatabaseStats>)> {
+        let mut span = tracer.span(names::INGEST_REFRESH);
+        // The rest keep their `Arc`s, so their dry-run results stay
+        // bit-identical.
+        let samples = Arc::new(base.engine.samples().refresh_tables(db, tables)?);
+        // Refreshed tables restart their drift accumulation from the fresh
+        // statistics; the others' plans were *not* refreshed, so their
+        // drift keeps accumulating against the original baseline.
+        let baseline = Arc::new(reanchor_baseline(&base.baseline, stats, tables)?);
+        let (kept, dropped) = self.sample_cache().retain_current(&samples);
         self.registry.add("ingest.refreshes", 1);
-        Ok(v)
+        self.registry
+            .add("ingest.tables_refreshed", tables.len() as u64);
+        if span.is_recording() {
+            span.attr_u64("tables_refreshed", tables.len() as u64);
+            span.attr_u64("sample_entries_kept", kept as u64);
+            span.attr_u64("sample_entries_dropped", dropped as u64);
+        }
+        Ok((samples, baseline))
     }
 
     /// Append typed rows to `table`, then run the drift loop (see the
@@ -283,45 +312,17 @@ impl QueryService {
         let db = Arc::new(db);
         let stats = Arc::new(inc.stats);
         let (samples, baseline) = if refresh {
-            let mut refresh_span = sub.span(names::INGEST_REFRESH);
-            // Redraw only the drifted tables' samples; the rest keep their
-            // `Arc`s, so their dry-run results stay bit-identical.
-            let samples = Arc::new(engine.samples().refresh_tables(&db, &refreshable)?);
-            // Re-anchor the baseline per-table: drifted tables restart
-            // their drift accumulation from the fresh statistics; the
-            // untouched tables' plans were *not* refreshed, so their drift
-            // keeps accumulating against the original baseline.
-            let baseline = Arc::new(reanchor_baseline(&base.baseline, &stats, &refreshable)?);
-            // Nothing from here to the publish can fail. The shared
-            // dry-run cache migrates *before* it: the first reader of the
-            // new snapshot already finds the surviving entries under its
-            // version, and a session still on the old one can no longer
-            // store entries under a version nothing will read again.
-            let (entries_kept, entries_dropped) = self.sample_cache().migrate_version(
-                engine.samples().data_version(),
-                stamp,
-                &refreshable,
-            );
-            self.registry.add("ingest.refreshes", 1);
-            self.registry
-                .add("ingest.tables_refreshed", refreshable.len() as u64);
-            if refresh_span.is_recording() {
-                refresh_span.attr_u64("tables_refreshed", refreshable.len() as u64);
-                refresh_span.attr_u64("sample_entries_kept", entries_kept as u64);
-                refresh_span.attr_u64("sample_entries_dropped", entries_dropped as u64);
-            }
-            (samples, baseline)
+            self.refresh(&base, &db, &stats, &refreshable, &sub)?
         } else {
             // Under threshold: fresh data + statistics go live, samples
             // and cached plans keep serving. The samples keep their older
-            // data version, so every sample-cache entry stays keyed to the
-            // data state the dry runs actually ran over.
+            // table versions, so every sample-cache entry stays keyed to
+            // the samples the dry runs actually ran over.
             (Arc::clone(engine.samples()), Arc::clone(&base.baseline))
         };
-        // The one step that makes this ingest visible. The statistics
-        // version does NOT move — plans over untouched tables stay warm;
-        // plans touching a redrawn table read as stale from the new
-        // snapshot's sample versions alone.
+        // The one step that makes this ingest visible. Plans over
+        // untouched tables stay warm; plans touching a redrawn table read
+        // as stale from the new snapshot's sample versions alone.
         self.publish(
             &writer,
             Snapshot {
@@ -356,7 +357,6 @@ impl QueryService {
             table: id,
             rows_appended: appended,
             rows_deleted: deleted,
-            table_version: stamp,
             data_version: stamp,
             tables_reused: inc.tables_reused,
             tables_merged: inc.tables_merged,
@@ -364,7 +364,6 @@ impl QueryService {
             drift,
             drifted_tables: drifted,
             refreshed: refresh,
-            stats_version: self.stats_version(),
             trace: if tracer.is_enabled() {
                 Some(Arc::new(tracer.finish()))
             } else {
@@ -422,9 +421,8 @@ mod tests {
         assert!(Arc::ptr_eq(&now, before), "the published snapshot moved");
         assert!(Arc::ptr_eq(&now.baseline, &before.baseline));
         let stats = service.stats();
-        assert_eq!(stats.stats_version, 0);
         assert_eq!(stats.cached_templates, 1);
-        assert_eq!(stats.table_evictions + stats.stale_evictions, 0);
+        assert_eq!(stats.table_evictions, 0);
         assert_eq!(service.telemetry_snapshot().counter("ingest.ops"), 0);
         let warm = service.submit(q).unwrap();
         assert_eq!(warm.source, PlanSource::WarmHit, "the plan cache moved");

@@ -12,9 +12,12 @@
 //!   cold template trigger exactly one re-optimization; the other N−1
 //!   block on the leader's result and receive the identical plan
 //!   ([`cache::PlanCache`]).
-//! * **LRU + staleness eviction** — the cache is capacity-bounded, and a
-//!   statistics refresh ([`QueryService::bump_stats_version`]) lazily
-//!   invalidates every plan computed under the old statistics.
+//! * **One freshness rule** — the cache is capacity-bounded (LRU), and
+//!   everything derived from samples, a cached plan or a cached dry run,
+//!   is current exactly while the samples of the tables it read are
+//!   unchanged. A sample refresh ([`ingest`]) sends the plans over a
+//!   redrawn table to re-validation on their next touch; the rest keep
+//!   serving.
 //! * **Snapshots** — the service's state (database, statistics, samples,
 //!   drift baseline) is an immutable snapshot behind one `Arc`: a request
 //!   loads it once and plans and executes against it alone, while ingest

@@ -128,7 +128,9 @@ pub struct ServiceStats {
     pub errors: u64,
     /// Plans evicted to respect the capacity bound.
     pub lru_evictions: u64,
-    /// Plans evicted because statistics moved underneath them.
+    /// Always 0. Kept for readers of the earlier statistics-version flush,
+    /// which is gone: a stale plan is re-validated, never flushed, and
+    /// counted in `table_evictions`.
     pub stale_evictions: u64,
     /// Plans handed out for re-validation because a base table they touch
     /// had its sample surgically refreshed since they were validated.
@@ -140,8 +142,6 @@ pub struct ServiceStats {
     pub revalidations_saved: u64,
     /// Templates currently cached.
     pub cached_templates: usize,
-    /// Current statistics version.
-    pub stats_version: u64,
     /// Counters of the shared sample dry-run cache.
     pub sample_cache: SampleCacheStats,
     /// Submission latency distribution (µs): count, mean, max, and
@@ -193,7 +193,8 @@ impl Snapshot {
 
 /// A thread-safe query service over one database: many sessions submit
 /// queries concurrently; the service answers each with a physical plan,
-/// re-optimizing at most once per query template per statistics version.
+/// re-optimizing at most once per query template per generation of the
+/// samples it read.
 ///
 /// All methods take `&self`; wrap the service in an `Arc` and hand clones
 /// to your session threads (or use [`QueryService::session`]).
@@ -211,7 +212,6 @@ pub struct QueryService {
     plans: Arc<PlanCache>,
     sample_cache: SharedSampleRunCache,
     exec_opts: ExecOpts,
-    stats_version: AtomicU64,
     next_session: AtomicU64,
     submitted: AtomicU64,
     warm_hits: AtomicU64,
@@ -240,7 +240,6 @@ impl QueryService {
             plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
             sample_cache: SharedSampleRunCache::new(),
             exec_opts: config.exec,
-            stats_version: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
@@ -323,19 +322,11 @@ impl QueryService {
     /// trace rides back on [`ServiceResponse::trace`].
     pub fn submit(&self, query: &Query) -> Result<ServiceResponse> {
         let tracer = self.new_tracer();
-        let mut r = self.submit_with_tracer(query, &tracer)?;
+        let (mut r, _) = self.admit(query, &tracer)?;
         if tracer.is_enabled() {
             r.trace = Some(Arc::new(tracer.finish()));
         }
         Ok(r)
-    }
-
-    /// [`QueryService::submit`] with an explicit tracer: spans record under
-    /// `tracer`'s current parent and the caller keeps ownership of the
-    /// trace (so [`ServiceResponse::trace`] stays `None`). This is how
-    /// [`QueryService::execute`] nests admission spans under its own root.
-    pub fn submit_with_tracer(&self, query: &Query, tracer: &Tracer) -> Result<ServiceResponse> {
-        self.admit(query, tracer).map(|(response, _)| response)
     }
 
     /// Admission proper: the response plus the snapshot it was admitted
@@ -376,16 +367,12 @@ impl QueryService {
             // Validate up front: a malformed query must fail identically
             // whether its template is cached or not.
             query.validate(snap.engine.db())?;
-            let version = self.stats_version.load(Ordering::Acquire);
             let mut adm_span = sub.span(names::SERVICE_ADMISSION);
             if adm_span.is_recording() {
                 adm_span.attr_u64("template", template);
-                adm_span.attr_u64("stats_version", version);
             }
             let at = snap.data_version();
-            let admission = self
-                .plans
-                .begin(template, version, at, |t| snap.sample_version(t));
+            let admission = self.plans.begin(template, at, |t| snap.sample_version(t));
             let (cached, source) = match admission {
                 Admission::Hit(cached) => {
                     adm_span.attr_str("source", "warm_hit");
@@ -416,7 +403,7 @@ impl QueryService {
                 Admission::Lead(guard) => {
                     adm_span.attr_str("source", "cold_miss");
                     drop(adm_span);
-                    let cached = self.lead_reoptimize(query, &snap, &tmpl, version, guard, &sub)?;
+                    let cached = self.lead_reoptimize(query, &snap, &tmpl, guard, &sub)?;
                     (cached, PlanSource::ColdMiss)
                 }
                 Admission::Revalidate { guard, stale } => {
@@ -428,7 +415,7 @@ impl QueryService {
                     // error, or cost moved too far) fall through to a full
                     // re-optimization — the guard transfers, so waiters
                     // still get one verdict.
-                    match self.try_revalidate(query, &snap, &stale, version, &sub) {
+                    match self.try_revalidate(query, &snap, &stale, &sub) {
                         Some(cached) => {
                             guard.complete(Ok(cached.clone()));
                             // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
@@ -437,8 +424,7 @@ impl QueryService {
                             (cached, PlanSource::Revalidated)
                         }
                         None => {
-                            let cached =
-                                self.lead_reoptimize(query, &snap, &tmpl, version, guard, &sub)?;
+                            let cached = self.lead_reoptimize(query, &snap, &tmpl, guard, &sub)?;
                             (cached, PlanSource::ColdMiss)
                         }
                     }
@@ -485,7 +471,6 @@ impl QueryService {
         query: &Query,
         snap: &Snapshot,
         tmpl: &QueryTemplate,
-        version: u64,
         guard: LeadGuard,
         sub: &Tracer,
     ) -> Result<CachedPlan> {
@@ -501,7 +486,6 @@ impl QueryService {
                     rounds: report.rounds.len(),
                     converged: report.converged,
                     reopt_time: report.reopt_time,
-                    stats_version: version,
                     validated_cost: report.final_validated_cost,
                     data_version: snap.data_version(),
                     sampled_at: snap.sampled_at(tmpl.base_tables())?,
@@ -528,7 +512,6 @@ impl QueryService {
         query: &Query,
         snap: &Snapshot,
         stale: &CachedPlan,
-        version: u64,
         tracer: &Tracer,
     ) -> Option<CachedPlan> {
         let ratio = self.drift.revalidate_ratio?;
@@ -558,7 +541,6 @@ impl QueryService {
             rounds: stale.rounds,
             converged: stale.converged,
             reopt_time: stale.reopt_time,
-            stats_version: version,
             validated_cost: cost,
             data_version: snap.data_version(),
             sampled_at: snap
@@ -710,21 +692,6 @@ impl QueryService {
         }
     }
 
-    /// Declare the statistics (and/or samples) refreshed: every plan
-    /// computed under an older version is lazily evicted and re-optimized
-    /// on its next touch. Also clears the shared sample cache — its row
-    /// sets were drawn from the old samples. Returns the new version.
-    pub fn bump_stats_version(&self) -> u64 {
-        let v = self.stats_version.fetch_add(1, Ordering::AcqRel) + 1;
-        self.sample_cache.clear();
-        v
-    }
-
-    /// Current statistics version.
-    pub fn stats_version(&self) -> u64 {
-        self.stats_version.load(Ordering::Acquire)
-    }
-
     /// Point-in-time counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
@@ -741,14 +708,13 @@ impl QueryService {
             // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
             errors: self.errors.load(Ordering::Relaxed),
             lru_evictions: self.plans.lru_evictions(),
-            stale_evictions: self.plans.stale_evictions(),
+            stale_evictions: 0,
             table_evictions: self.plans.table_evictions(),
             // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
             revalidations: self.revalidations.load(Ordering::Relaxed),
             // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
             revalidations_saved: self.revalidations_saved.load(Ordering::Relaxed),
             cached_templates: self.plans.len(),
-            stats_version: self.stats_version(),
             sample_cache: self.sample_cache.stats(),
             latency: self.registry.latency_summary("service.submit_us"),
         }
@@ -769,12 +735,10 @@ impl QueryService {
         snap.set_counter("service.reopts_run", s.reopts_run);
         snap.set_counter("service.errors", s.errors);
         snap.set_counter("plan_cache.lru_evictions", s.lru_evictions);
-        snap.set_counter("plan_cache.stale_evictions", s.stale_evictions);
         snap.set_counter("plan_cache.table_evictions", s.table_evictions);
         snap.set_counter("plan_cache.revalidations", s.revalidations);
         snap.set_counter("plan_cache.revalidations_saved", s.revalidations_saved);
         snap.set_gauge("plan_cache.templates", s.cached_templates as f64);
-        snap.set_gauge("service.stats_version", s.stats_version as f64);
         snap.set_gauge(
             "service.data_version",
             self.snapshot().data_version().get() as f64,

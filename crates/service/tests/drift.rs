@@ -1,7 +1,7 @@
 //! The drifting-workload suite: cached plans must survive benign ingest
 //! and die — automatically, from *measured* drift — when the data moves
-//! underneath them. No test here calls `bump_stats_version`; eviction is
-//! the drift monitor's job now.
+//! underneath them. Eviction is the drift monitor's job: no test here
+//! refreshes by hand except to show what manual mode waits for.
 
 use std::sync::Arc;
 
@@ -72,7 +72,6 @@ fn under_threshold_ingest_keeps_cached_plans() {
     );
     assert!(report.drift > 0.0, "row counts did move");
     assert!(report.data_version > before);
-    assert_eq!(report.stats_version, 0);
 
     // The new rows are live (the served database grew) …
     let engine = service.engine();
@@ -81,7 +80,7 @@ fn under_threshold_ingest_keeps_cached_plans() {
     // … and the cached plan kept serving: no eviction of any kind.
     assert_eq!(service.submit(&q).unwrap().source, PlanSource::WarmHit);
     let stats = service.stats();
-    assert_eq!(stats.stale_evictions, 0);
+    assert_eq!(stats.table_evictions, 0);
     assert_eq!(stats.reopts_run, 1);
 }
 
@@ -107,7 +106,7 @@ fn measured_drift_auto_evicts_stale_plans() {
 
     // Skew storm: quadruple ott_lineitem with a single hot value. The MCV
     // mass collapses onto 0, so total-variation distance alone crosses the
-    // threshold — nobody calls bump_stats_version.
+    // threshold — nobody refreshes by hand.
     let report = service
         .append_rows("ott_lineitem", &rows_of(0, 3 * 60 * 12))
         .unwrap();
@@ -122,10 +121,6 @@ fn measured_drift_auto_evicts_stale_plans() {
         vec![service.engine().db().table_id("ott_lineitem").unwrap()],
         "exactly the stormed table drifted"
     );
-    assert_eq!(
-        report.stats_version, 0,
-        "a surgical refresh must NOT bump the global stats version"
-    );
 
     // The stale plan is marked on the surgical eviction and re-optimized
     // against the post-drift samples on its next touch.
@@ -137,10 +132,6 @@ fn measured_drift_auto_evicts_stale_plans() {
     );
     let stats = service.stats();
     assert!(stats.table_evictions >= 1, "{stats:?}");
-    assert_eq!(
-        stats.stale_evictions, 0,
-        "surgical eviction must not masquerade as a version flush: {stats:?}"
-    );
     assert_eq!(stats.reopts_run, 2, "{stats:?}");
 
     // Post-refresh, the template is warm again.
@@ -237,7 +228,7 @@ fn zero_row_ingest_is_a_quiescent_no_op() {
     let warm = service.submit(&q).unwrap();
     assert_eq!(warm.source, PlanSource::WarmHit);
     assert_eq!(warm.plan.fingerprint(), cold.plan.fingerprint());
-    assert_eq!(service.stats().stale_evictions, 0);
+    assert_eq!(service.stats().table_evictions, 0);
 }
 
 #[test]
@@ -290,14 +281,17 @@ fn auto_refresh_off_reports_drift_without_evicting() {
         .unwrap();
     assert!(report.drift >= 0.25);
     assert!(!report.refreshed, "auto_refresh=false only observes");
-    assert_eq!(report.stats_version, 0);
     assert!(
         !report.drifted_tables.is_empty(),
         "observation mode still names the drifted tables"
     );
-    // Manual mode: the stale plan keeps serving until an operator acts.
+    // Manual mode: the stale plan keeps serving until an operator acts…
     assert_eq!(service.submit(&q).unwrap().source, PlanSource::WarmHit);
-    assert_eq!(service.stats().stale_evictions, 0);
+    assert_eq!(service.stats().table_evictions, 0);
+    // …and a full refresh is that act: the plan re-validates.
+    service.refresh_full().unwrap();
+    assert_ne!(service.submit(&q).unwrap().source, PlanSource::WarmHit);
+    assert_eq!(service.stats().table_evictions, 1);
 }
 
 #[test]

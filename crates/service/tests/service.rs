@@ -1,5 +1,5 @@
 //! End-to-end service tests over the OTT workload: single-flight
-//! admission, template reuse across literals, staleness/LRU eviction, and
+//! admission, template reuse across literals, refresh/LRU eviction, and
 //! cross-template sample-cache pooling.
 
 use std::sync::{Arc, Barrier};
@@ -13,7 +13,7 @@ use reopt_plan::{Predicate, Query, QueryBuilder};
 use reopt_sampling::SampleConfig;
 use reopt_service::{PlanSource, QueryService, ServiceConfig};
 use reopt_stats::AnalyzeOpts;
-use reopt_storage::{Column, ColumnDef, Database, LogicalType, Table, TableSchema};
+use reopt_storage::{Column, ColumnDef, Database, LogicalType, Table, TableSchema, Value};
 use reopt_workloads::ott::{build_ott_database, ott_query, recommended_sample_ratio, OttConfig};
 
 fn ott_db(config: &OttConfig) -> Arc<Database> {
@@ -134,22 +134,43 @@ fn different_literals_share_one_template() {
     assert_eq!(service.stats().reopts_run, 2);
 }
 
+/// A full refresh is the drift reaction over every table: with no ingest
+/// since the draw it redraws every sample bit-identically at the same
+/// version, so nothing goes stale; after even a sub-threshold ingest every
+/// sample's version moves and every template re-validates.
 #[test]
-fn stats_bump_lazily_reoptimizes() {
+fn refresh_full_revalidates_only_what_it_redrew() {
     let service = service_with(&small_ott(), ServiceConfig::default());
-    let q = ott_query(service.engine().db(), &[0, 0, 0, 1]).unwrap();
-    assert_eq!(service.submit(&q).unwrap().source, PlanSource::ColdMiss);
-    assert_eq!(service.submit(&q).unwrap().source, PlanSource::WarmHit);
-    let v = service.bump_stats_version();
-    assert_eq!(v, 1);
-    // The stale plan is evicted on touch and re-optimized once.
-    assert_eq!(service.submit(&q).unwrap().source, PlanSource::ColdMiss);
-    assert_eq!(service.submit(&q).unwrap().source, PlanSource::WarmHit);
+    let db = service.engine().db().clone();
+    let templates = [
+        ott_query(&db, &[0, 0]).unwrap(),
+        ott_query(&db, &[0, 0, 0, 1]).unwrap(),
+    ];
+    for q in &templates {
+        assert_eq!(service.submit(q).unwrap().source, PlanSource::ColdMiss);
+    }
+    let entries = service.sample_cache().stats().entries;
+    assert!(entries > 0, "dry runs populated the shared cache");
+
+    service.refresh_full().unwrap();
+    for q in &templates {
+        assert_eq!(service.submit(q).unwrap().source, PlanSource::WarmHit);
+    }
+    assert_eq!(service.sample_cache().stats().entries, entries);
+    assert_eq!(service.stats().table_evictions, 0);
+
+    let batch: Vec<_> = (0..60)
+        .map(|v| vec![Value::Int(v), Value::Int(v)])
+        .collect();
+    let report = service.append_rows("ott_lineitem", &batch).unwrap();
+    assert!(!report.refreshed, "the batch must stay under the threshold");
+    service.refresh_full().unwrap();
+    for q in &templates {
+        assert_ne!(service.submit(q).unwrap().source, PlanSource::WarmHit);
+    }
     let stats = service.stats();
-    assert_eq!(stats.stale_evictions, 1, "{stats:?}");
-    assert_eq!(stats.reopts_run, 2, "{stats:?}");
-    // The sample cache was flushed with the stats.
-    assert_eq!(service.stats_version(), 1);
+    assert_eq!(stats.table_evictions, templates.len() as u64, "{stats:?}");
+    assert_eq!(stats.stale_evictions, 0, "{stats:?}");
 }
 
 #[test]

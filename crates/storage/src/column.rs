@@ -119,8 +119,8 @@ impl Column {
 
     /// Check that `v` can be appended to this column without mutating
     /// anything: NULL is always accepted, dictionary columns take strings,
-    /// every other type takes integers. [`Table::append_rows`]
-    /// (crate::Table::append_rows) vets a whole batch with this before
+    /// every other type takes integers. [`crate::Table::append_rows`]
+    /// vets a whole batch with this before
     /// applying any of it, which is what makes batch application atomic.
     pub fn can_append(&self, v: &Value) -> Result<()> {
         match (self.ty, v) {

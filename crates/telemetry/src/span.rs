@@ -114,15 +114,6 @@ impl Tracer {
         }
     }
 
-    /// Enabled iff the `REOPT_TRACE` environment variable is truthy.
-    pub fn from_env() -> Self {
-        if env_trace_default() {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        }
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()
     }

@@ -37,7 +37,6 @@ struct Oracle {
 fn from_scratch(opt: &Optimizer<'_>, samples: &SampleStore, q: &Query) -> Oracle {
     let config = ReOptConfig::default();
     let mut gamma = CardOverrides::new();
-    gamma.set_data_version(samples.data_version());
     let mut rounds: Vec<PhysicalPlan> = Vec::new();
     let mut converged = false;
     while rounds.len() < config.max_rounds {

@@ -132,6 +132,23 @@ fn traced_execute_covers_the_whole_pipeline() {
 }
 
 #[test]
+fn traced_mid_query_execute_records_the_aggregate() {
+    use reopt::plan::{AggExpr, AggSpec};
+    let svc = service(true, Some(false));
+    let mut q = ott_query(svc.engine().db(), &[0i64, 0, 0, 1, 0]).unwrap();
+    q.aggregate = Some(AggSpec {
+        group_by: vec![],
+        aggs: vec![AggExpr::count_star()],
+    });
+    let eq = svc.execute_traced(&q).unwrap();
+    assert!(eq.output.agg.is_some());
+    assert!(eq.mid_query.as_ref().unwrap().suspensions >= 1);
+    let trace = eq.trace.as_ref().unwrap();
+    assert_eq!(trace.count(names::EXEC_AGGREGATE), 1);
+    assert_nested(trace, names::MIDQUERY_RUN, names::EXEC_AGGREGATE);
+}
+
+#[test]
 fn chrome_trace_export_is_valid_json() {
     let svc = service(false, Some(false));
     let q = ott_query(svc.engine().db(), &[0i64, 0, 0, 1]).unwrap();
