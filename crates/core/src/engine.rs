@@ -16,7 +16,7 @@ use std::sync::Arc;
 use crate::reopt::{ReOptConfig, ReOptimizer};
 use crate::report::ReoptReport;
 use reopt_common::Result;
-use reopt_optimizer::{Optimizer, OptimizerConfig};
+use reopt_optimizer::{CardOverrides, Optimizer, OptimizerConfig, PlanMemo};
 use reopt_plan::Query;
 use reopt_sampling::{SampleConfig, SampleStore, SharedSampleRunCache};
 use reopt_stats::{analyze_database, AnalyzeOpts, DatabaseStats};
@@ -226,13 +226,15 @@ impl ReoptEngine {
         Ok(cost)
     }
 
-    /// Execute an already-chosen plan with the mid-query suspend → refine
-    /// → replan → resume loop (see [`crate::midquery`]) — the serving
-    /// layer's execute path for cached plans. Γ starts empty: replans draw
-    /// on native statistics plus the exact cardinalities observed so far
-    /// (the admitted plan itself already encodes the sampling loop's
-    /// repairs). Result-equivalent to running `plan` straight through.
-    pub fn execute_plan_mid_query(
+    /// Execute an already-chosen plan — the serving layer's execute path
+    /// for cached plans. With [`ReOptConfig::mid_query`] on, it runs under
+    /// the suspend → refine → replan → resume loop (see
+    /// [`crate::midquery`]) with Γ and the DP memo starting empty: replans
+    /// draw on native statistics plus the exact cardinalities observed so
+    /// far (the admitted plan itself already encodes the sampling loop's
+    /// repairs). Otherwise it runs straight through. Result-equivalent
+    /// either way.
+    pub fn execute_plan(
         &self,
         query: &Query,
         plan: &reopt_plan::PhysicalPlan,
@@ -240,18 +242,28 @@ impl ReoptEngine {
     ) -> Result<crate::midquery::MidQueryRun> {
         let optimizer =
             Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone());
-        crate::midquery::execute_mid_query(
-            &self.db,
+        crate::midquery::execute(
             &optimizer,
+            &self.reopt_config,
             query,
             plan,
-            crate::midquery::MidQueryOpts {
-                exec: exec_opts,
-                max_suspensions: self.reopt_config.max_suspensions,
-                replan_discrepancy: self.reopt_config.replan_discrepancy,
-                ..crate::midquery::MidQueryOpts::new()
-            },
+            CardOverrides::new(),
+            PlanMemo::new(),
+            exec_opts,
         )
+    }
+
+    /// [`ReoptEngine::execute_plan`] with mid-query re-optimization on,
+    /// whatever this engine's configuration says.
+    pub fn execute_plan_mid_query(
+        &self,
+        query: &Query,
+        plan: &reopt_plan::PhysicalPlan,
+        exec_opts: reopt_executor::ExecOpts,
+    ) -> Result<crate::midquery::MidQueryRun> {
+        self.clone()
+            .with_mid_query(true)
+            .execute_plan(query, plan, exec_opts)
     }
 
     /// Materialize the borrowing optimizer + re-optimizer and hand them to

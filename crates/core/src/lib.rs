@@ -9,6 +9,12 @@
 //! changes. [`report::ReoptReport`] captures the full trace —
 //! enough to regenerate every re-optimization figure of the paper and to
 //! machine-check Theorems 1, 2 and 5 on real runs.
+//!
+//! A chosen plan reaches rows through one function in [`midquery`], the
+//! only reader of [`ReOptConfig::mid_query`]: straight through, or under
+//! the suspend → replan → resume loop. [`ReOptimizer::execute`] seeds it
+//! with the sampling loop's Γ and DP memo; [`ReoptEngine::execute_plan`]
+//! (the serving layer's path) with empty ones.
 
 pub mod engine;
 pub mod midquery;

@@ -33,9 +33,11 @@
 //! may differ between trajectories; consumers that need a canonical order
 //! sort, exactly as they would across plan shapes.
 
-use reopt_common::{RelSet, Result};
+use crate::ReOptConfig;
+use reopt_common::{Error, RelSet, Result, Stopwatch};
 use reopt_executor::{
-    AggOutput, CheckpointStore, ExecMetrics, ExecOpts, ExecStep, Executor, RowSet, TracedRun,
+    AggOutput, CheckpointStore, ExecMetrics, ExecOpts, ExecStep, Executor, QueryOutput, RowSet,
+    TracedRun,
 };
 use reopt_optimizer::{CardOverrides, Optimizer, PinnedLeaf, PlanMemo};
 use reopt_plan::{PhysicalPlan, Query};
@@ -52,7 +54,7 @@ pub struct MidQueryStats {
     /// Replans run while suspended. At most `suspensions`; smaller
     /// whenever the discrepancy gate found every new observation in
     /// agreement with current beliefs (the common case under the default
-    /// `replan_discrepancy: Some(2.0)`) or the suspension cap was hit.
+    /// `replan_discrepancy: Some(2.0)`).
     pub replans: usize,
     /// Replans that changed the remainder's plan structure.
     pub plan_switches: usize,
@@ -96,6 +98,10 @@ pub struct MidQueryRun {
     /// add nothing, so a switch-free run's totals equal straight-through
     /// execution's exactly).
     pub metrics: ExecMetrics,
+    /// Whether mid-query re-optimization was on
+    /// ([`ReOptConfig::mid_query`]). A query the DP cannot re-plan runs
+    /// straight through either way, with zero counters.
+    pub mid_query: bool,
     /// What the loop did.
     pub report: MidQueryReport,
 }
@@ -104,6 +110,15 @@ impl MidQueryRun {
     /// Cardinality of the join result (before aggregation).
     pub fn join_rows(&self) -> u64 {
         self.rows.len() as u64
+    }
+
+    /// The executor's result shape: join cardinality, aggregate, metrics.
+    pub fn into_output(self) -> QueryOutput {
+        QueryOutput {
+            join_rows: self.join_rows(),
+            agg: self.agg,
+            metrics: self.metrics,
+        }
     }
 }
 
@@ -122,13 +137,7 @@ pub struct MidQueryOpts {
     pub memo: PlanMemo,
     /// Executor options for every segment.
     pub exec: ExecOpts,
-    /// Safety cap on suspensions (see
-    /// [`ReOptConfig::max_suspensions`](crate::ReOptConfig)): once the
-    /// cap is reached the current plan finishes in one sealed segment;
-    /// 0 skips stepping entirely (straight-through execution).
-    pub max_suspensions: usize,
-    /// Replan gate (see
-    /// [`ReOptConfig::replan_discrepancy`](crate::ReOptConfig)): `None`
+    /// Replan gate (see [`ReOptConfig::replan_discrepancy`]): `None`
     /// replans at every suspension; `Some(f)` only when a newly observed
     /// join cardinality disagrees with the current belief by ≥ `f` (or
     /// was never estimated).
@@ -142,26 +151,80 @@ impl Default for MidQueryOpts {
 }
 
 impl MidQueryOpts {
-    /// The [`ReOptConfig`](crate::ReOptConfig) defaults: empty seeds, cap
-    /// 64, gate 2.0.
+    /// The [`ReOptConfig`] defaults: empty seeds, gate 2.0.
     pub fn new() -> Self {
         MidQueryOpts {
             gamma: CardOverrides::new(),
             memo: PlanMemo::new(),
             exec: ExecOpts::default(),
-            max_suspensions: 64,
             replan_discrepancy: Some(2.0),
         }
     }
 }
 
+/// Run a chosen plan to rows: the one place that decides *how*. With
+/// [`ReOptConfig::mid_query`] on and a query the DP can re-plan (at most
+/// `geqo_threshold` relations: the genetic search cannot honor pin
+/// boundaries), the plan runs under
+/// [`execute_mid_query`] seeded with `gamma` and `memo`. Otherwise it runs
+/// straight through — one pipeline plus the aggregate, no checkpoint
+/// copies — and `gamma` comes back untouched. `metrics.elapsed` is the
+/// wall time of the whole execution.
+pub(crate) fn execute(
+    optimizer: &Optimizer<'_>,
+    config: &ReOptConfig,
+    query: &Query,
+    plan: &PhysicalPlan,
+    gamma: CardOverrides,
+    memo: PlanMemo,
+    exec_opts: ExecOpts,
+) -> Result<MidQueryRun> {
+    let t0 = Stopwatch::start();
+    let db = optimizer.database();
+    let mid_query = config.mid_query;
+    let mut run = if mid_query && query.num_relations() <= optimizer.config().geqo_threshold {
+        let opts = MidQueryOpts {
+            gamma,
+            memo,
+            exec: exec_opts,
+            replan_discrepancy: config.replan_discrepancy,
+        };
+        execute_mid_query(db, optimizer, query, plan, opts)?
+    } else {
+        let exec = Executor::with_opts(db, exec_opts);
+        let TracedRun {
+            rows, mut metrics, ..
+        } = exec.run_pipeline(query, plan, None)?;
+        let agg = exec.aggregate(query, &rows, &mut metrics)?;
+        MidQueryRun {
+            rows,
+            agg,
+            metrics,
+            mid_query,
+            report: MidQueryReport {
+                stats: MidQueryStats::default(),
+                plans: vec![plan.clone()],
+                gamma,
+            },
+        }
+    };
+    run.metrics.elapsed = t0.elapsed();
+    Ok(run)
+}
+
 /// Execute `plan` for `query` against `db` with the suspend → refine →
-/// replan → resume loop (the `ReOptConfig::mid_query` execution path).
+/// replan → resume loop, unconditionally. Whether a query *should* run
+/// this way is decided in one place, behind
+/// [`ReOptimizer::execute_with_opts`](crate::ReOptimizer::execute_with_opts)
+/// and [`ReoptEngine::execute_plan`](crate::ReoptEngine::execute_plan);
+/// call this directly only for a query the DP can re-plan (a replan
+/// beyond `geqo_threshold` relations fails).
 ///
-/// Queries the optimizer would route to GEQO (beyond `geqo_threshold`
-/// relations) execute straight through: the genetic search cannot honor
-/// pin boundaries, and partial replans there would risk re-executing
-/// completed work.
+/// Each suspension completes a breaker whose children are finished pins or
+/// base scans, merging two of the plan's remaining components into one,
+/// and the root join never suspends — so a query suspends at most
+/// `relations − 2` times, and the loop needs no cap. Exceeding that bound
+/// is an internal error.
 pub fn execute_mid_query(
     db: &Database,
     optimizer: &Optimizer<'_>,
@@ -173,18 +236,8 @@ pub fn execute_mid_query(
         mut gamma,
         mut memo,
         exec: exec_opts,
-        max_suspensions,
         replan_discrepancy,
     } = opts;
-    // The carried memo must match *this* database state (it self-clears
-    // if not).
-    memo.set_data_version(db.data_version());
-    // Queries the DP cannot re-plan (GEQO territory) gain nothing from
-    // stepping — and neither does a zero suspension budget: run those
-    // straight through, no checkpoint copies.
-    if query.num_relations() > optimizer.config().geqo_threshold || max_suspensions == 0 {
-        return execute_straight(db, query, start_plan, gamma, exec_opts);
-    }
     // Segments below each construct their own (cheap) executor so
     // operator spans nest under their segment span.
     let tracer = exec_opts.tracer.clone();
@@ -228,20 +281,13 @@ pub fn execute_mid_query(
                 drop(seg_span);
                 stats.suspensions += 1;
                 metrics.merge(&segment);
-                if stats.suspensions >= max_suspensions {
-                    // Cap hit: no replan can follow, so finish the current
-                    // plan in one sealed segment instead of stepping (and
-                    // checkpointing) breaker by breaker for nothing.
-                    store.seal();
-                    let seal_span = run_tracer.span(names::MIDQUERY_SEGMENT);
-                    let exec = Executor::with_opts(
-                        db,
-                        ExecOpts {
-                            tracer: run_tracer.under(&seal_span),
-                            ..exec_opts.clone()
-                        },
-                    );
-                    break exec.run_pipeline(query, &plan, Some(&mut store))?;
+                if stats.suspensions + 2 > query.num_relations() {
+                    return Err(Error::internal(format!(
+                        "mid-query execution suspended {} times on {} relations \
+                         (at most relations - 2)",
+                        stats.suspensions,
+                        query.num_relations()
+                    )));
                 }
                 let mut sus_span = run_tracer.span(names::MIDQUERY_SUSPEND);
                 if sus_span.is_recording() {
@@ -348,36 +394,10 @@ pub fn execute_mid_query(
         rows: run.rows,
         agg,
         metrics,
+        mid_query: true,
         report: MidQueryReport {
             stats,
             plans,
-            gamma,
-        },
-    })
-}
-
-/// Straight-through execution wrapped in the same result type — the
-/// `mid_query: false` arm of [`crate::ReOptimizer::execute_with_opts`], so
-/// A/B comparisons and the serving layer handle one shape.
-pub fn execute_straight(
-    db: &Database,
-    query: &Query,
-    plan: &PhysicalPlan,
-    gamma: CardOverrides,
-    exec_opts: ExecOpts,
-) -> Result<MidQueryRun> {
-    let exec = Executor::with_opts(db, exec_opts);
-    let TracedRun {
-        rows, mut metrics, ..
-    } = exec.run_pipeline(query, plan, None)?;
-    let agg = exec.aggregate(query, &rows, &mut metrics)?;
-    Ok(MidQueryRun {
-        rows,
-        agg,
-        metrics,
-        report: MidQueryReport {
-            stats: MidQueryStats::default(),
-            plans: vec![plan.clone()],
             gamma,
         },
     })

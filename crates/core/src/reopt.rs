@@ -55,15 +55,13 @@ pub struct ReOptConfig {
     /// completed subtrees pinned as zero-cost leaves, and resumes —
     /// completed work is never re-executed (see [`crate::midquery`]).
     /// Result-equivalent to straight-through execution: only the plan that
-    /// *finishes* the query can change, never the answer. Honored by
-    /// [`ReOptimizer::execute`]/[`ReOptimizer::execute_with_opts`] and the
-    /// serving layer's execute path.
+    /// *finishes* the query can change, never the answer. One function
+    /// reads it, behind [`ReOptimizer::execute`]/
+    /// [`ReOptimizer::execute_with_opts`] and
+    /// [`ReoptEngine::execute_plan`](crate::ReoptEngine::execute_plan)
+    /// (the serving layer's execute path). No cap is needed: a query
+    /// suspends at most `relations − 2` times.
     pub mid_query: bool,
-    /// Safety cap on mid-query suspensions per query (the loop terminates
-    /// on its own — every suspension checkpoints a new breaker — so this
-    /// only guards against pathological plans; once reached, the current
-    /// plan runs to completion unchanged).
-    pub max_suspensions: usize,
     /// Mid-query replan gate: re-enter the optimizer only when a newly
     /// observed join cardinality disagrees with the current belief by at
     /// least this factor in either direction (or was never estimated at
@@ -83,7 +81,6 @@ impl Default for ReOptConfig {
             time_budget: None,
             validation: ValidationOpts::default(),
             mid_query: false,
-            max_suspensions: 64,
             replan_discrepancy: Some(2.0),
         }
     }
@@ -184,8 +181,8 @@ impl<'a> ReOptimizer<'a> {
 
     /// Run Algorithm 1, then execute the chosen plan against the full
     /// database — with the suspend → refine → replan → resume loop when
-    /// `config.mid_query` is on, straight through otherwise. Exec options
-    /// default to the validation thread knob (`0` = auto); use
+    /// [`ReOptConfig::mid_query`] is on, straight through otherwise. Exec
+    /// options default to the validation thread knob (`0` = auto); use
     /// [`ReOptimizer::execute_with_opts`] for explicit executor control.
     pub fn execute(&self, query: &Query) -> Result<ExecutedReopt> {
         self.execute_with_opts(
@@ -212,29 +209,15 @@ impl<'a> ReOptimizer<'a> {
         // and the execution's land in the same trace.
         let tracer = exec_opts.tracer.clone();
         let (report, memo) = self.run_with_caches(query, &SharedSampleRunCache::new(), &tracer)?;
-        let run = if self.config.mid_query {
-            crate::midquery::execute_mid_query(
-                self.optimizer.database(),
-                self.optimizer,
-                query,
-                &report.final_plan,
-                crate::midquery::MidQueryOpts {
-                    gamma: report.gamma.clone(),
-                    memo,
-                    exec: exec_opts,
-                    max_suspensions: self.config.max_suspensions,
-                    replan_discrepancy: self.config.replan_discrepancy,
-                },
-            )?
-        } else {
-            crate::midquery::execute_straight(
-                self.optimizer.database(),
-                query,
-                &report.final_plan,
-                report.gamma.clone(),
-                exec_opts,
-            )?
-        };
+        let run = crate::midquery::execute(
+            self.optimizer,
+            &self.config,
+            query,
+            &report.final_plan,
+            report.gamma.clone(),
+            memo,
+            exec_opts,
+        )?;
         Ok(ExecutedReopt { report, run })
     }
 
@@ -249,11 +232,10 @@ impl<'a> ReOptimizer<'a> {
         let t_start = Stopwatch::start();
         let mut loop_span = tracer.span(names::REOPT_LOOP);
         let loop_tracer = tracer.under(&loop_span);
-        // Pin the DP memo to the data state the samples were drawn from.
-        // The sample cache keys itself by the samples it dry-runs over
-        // (see `validate_plan_cached`).
+        // The DP memo lives for this call, on one immutable snapshot; the
+        // sample cache keys itself by the samples it dry-runs over (see
+        // `validate_plan_cached`).
         let mut memo = PlanMemo::new();
-        memo.set_data_version(self.samples.data_version());
         let mut sample_cache = sample_cache.clone();
         let mut gamma = CardOverrides::new();
         let mut rounds: Vec<RoundReport> = Vec::new();

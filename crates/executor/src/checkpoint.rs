@@ -122,16 +122,6 @@ impl CheckpointStore {
             .collect()
     }
 
-    /// Stop checkpointing: lookups keep splicing, but fresh results are
-    /// no longer copied in. Call when no later segment can reuse them —
-    /// [`Executor::run_step`](crate::Executor::run_step) seals
-    /// automatically before its final segment; a caller finishing a plan
-    /// early (e.g. a suspension cap) seals before its own last
-    /// `run_pipeline`.
-    pub fn seal(&mut self) {
-        self.sealed = true;
-    }
-
     fn note_breaker(&mut self, set: RelSet, plan: &PhysicalPlan) {
         if !self.breakers.iter().any(|(s, _)| *s == set) {
             self.breakers.push((set, plan.clone()));
@@ -258,7 +248,7 @@ impl Executor<'_> {
                 // Final segment: no replan can follow, so checkpointing
                 // the remainder's intermediates (or the final result)
                 // would only copy rows nobody will read.
-                store.seal();
+                store.sealed = true;
                 let run = self.run_pipeline(query, plan, Some(store))?;
                 Ok(ExecStep::Complete(run))
             }

@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 
 use crate::exec::{ExecOpts, Executor};
-use reopt_common::{FxHashMap, RelSet, Result};
-use reopt_plan::{AccessPath, PhysicalPlan, Query};
+use reopt_common::{FxHashMap, RelSet, Result, TableId};
+use reopt_plan::{AccessPath, JoinAlgo, PhysicalPlan, Query};
 use reopt_storage::Database;
 use reopt_telemetry::{names, Tracer};
 
@@ -139,14 +139,10 @@ fn render(
                 AccessPath::SeqScan => "SeqScan".to_string(),
                 AccessPath::IndexScan { col } => format!("IndexScan[{col}]"),
             };
-            // Execution already resolved every table; the raw-id fallback
-            // only keeps rendering total.
-            let name = db
-                .table(*table)
-                .map_or_else(|_| format!("table {table}"), |t| t.name().to_string());
             let _ = writeln!(
                 out,
-                "{path} {rel} ({name})  est={:.1} actual={observed}{timing}",
+                "{path} {rel} ({})  est={:.1} actual={observed}{timing}",
+                table_name(db, *table),
                 info.est_rows
             );
         }
@@ -180,9 +176,30 @@ fn render(
                 "{algo:?}Join on [{keys_s}]  est={est:.1} actual={observed}{timing}{marker}",
             );
             render(db, left, actual, obs, out, depth + 1);
-            render(db, right, actual, obs, out, depth + 1);
+            match (algo, right.as_ref()) {
+                // The index-nested inner is probed per outer row, never
+                // run (or estimated) as a node of its own.
+                (JoinAlgo::IndexNested, PhysicalPlan::Scan { rel, table, .. }) => {
+                    for _ in 0..=depth {
+                        out.push_str("  ");
+                    }
+                    let probe = keys
+                        .first()
+                        .map(|(a, b)| if a.rel == *rel { a.col } else { b.col });
+                    let col = probe.map_or_else(|| "?".to_string(), |c| c.to_string());
+                    let _ = writeln!(out, "IndexProbe[{col}] {rel} ({})", table_name(db, *table));
+                }
+                _ => render(db, right, actual, obs, out, depth + 1),
+            }
         }
     }
+}
+
+/// `table`'s name. Execution already resolved every table; the raw-id
+/// fallback only keeps rendering total.
+fn table_name(db: &Database, table: TableId) -> String {
+    db.table(table)
+        .map_or_else(|_| format!("table {table}"), |t| t.name().to_string())
 }
 
 #[cfg(test)]
@@ -191,7 +208,7 @@ mod tests {
     use reopt_common::{ColId, RelId, TableId};
     use reopt_plan::physical::PlanNodeInfo;
     use reopt_plan::query::ColRef;
-    use reopt_plan::{JoinAlgo, Predicate, QueryBuilder};
+    use reopt_plan::{Predicate, QueryBuilder};
     use reopt_storage::{Column, ColumnDef, LogicalType, Table, TableSchema};
 
     fn db() -> Database {
@@ -291,6 +308,42 @@ mod tests {
         assert!(s.contains("actual=250"), "{s}");
         // Every node line carries its exec.operator span's wall time.
         assert_eq!(s.matches("time=").count(), 3, "{s}");
+    }
+
+    #[test]
+    fn index_nested_inner_renders_as_a_probe() {
+        let mut db = db();
+        db.table_mut(TableId::new(1))
+            .unwrap()
+            .create_index(ColId::new(0))
+            .unwrap();
+        let PhysicalPlan::Join { left, keys, .. } = plan(250.0) else {
+            unreachable!()
+        };
+        let inl = PhysicalPlan::Join {
+            algo: JoinAlgo::IndexNested,
+            left,
+            // The DP's inner placeholder: a zero-estimate sequential scan.
+            right: Box::new(PhysicalPlan::Scan {
+                rel: RelId::new(1),
+                table: TableId::new(1),
+                access: AccessPath::SeqScan,
+                info: PlanNodeInfo::default(),
+            }),
+            keys,
+            info: PlanNodeInfo {
+                est_rows: 250.0,
+                est_cost: 2.0,
+            },
+        };
+        let s = explain_analyze(&db, &query(), &inl).unwrap();
+        assert!(
+            s.contains("IndexNestedJoin on [r0.c0=r1.c0]  est=250.0 actual=250"),
+            "{s}"
+        );
+        assert!(s.contains("SeqScan r0 (x)  est=50.0 actual=50"), "{s}");
+        assert!(s.contains("\n  IndexProbe[c0] r1 (y)\n"), "{s}");
+        assert!(!s.contains("SeqScan r1"), "{s}");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use reopt_common::RelSet;
 use reopt_plan::PhysicalPlan;
-use reopt_storage::DataVersion;
 use std::collections::BTreeMap;
 
 /// One planned subtree: the DP table's value type.
@@ -39,16 +38,9 @@ pub(crate) struct MemoEntry {
 /// Ordered map (rule R1): invalidation visits the table, and the DP's
 /// lookups are set-keyed, so an ordered walk keeps every traversal of the
 /// memo deterministic by construction.
-/// A memo is additionally pinned to one [`DataVersion`]: its rows/costs
-/// embed statistics and Γ entries derived from a specific data state, so
-/// [`PlanMemo::set_data_version`] self-clears on any mismatch — a DP entry
-/// planned against yesterday's statistics is structurally unreachable
-/// after an ingest.
 #[derive(Debug, Clone, Default)]
 pub struct PlanMemo {
     entries: BTreeMap<RelSet, MemoEntry>,
-    /// The data state every resident entry was planned against.
-    version: DataVersion,
 }
 
 impl PlanMemo {
@@ -70,25 +62,6 @@ impl PlanMemo {
     /// Whether `set` has a (non-stale) entry.
     pub fn contains(&self, set: RelSet) -> bool {
         self.entries.contains_key(&set)
-    }
-
-    /// The data state the resident entries were planned against.
-    pub fn data_version(&self) -> DataVersion {
-        self.version
-    }
-
-    /// Pin the memo to `version`, clearing it first if the resident
-    /// entries were planned against a different data state. Returns `true`
-    /// when entries were dropped — a cross-version DP reuse is thereby
-    /// structurally impossible, not merely discouraged.
-    pub fn set_data_version(&mut self, version: DataVersion) -> bool {
-        if self.version == version {
-            return false;
-        }
-        let had = !self.entries.is_empty();
-        self.entries.clear();
-        self.version = version;
-        had
     }
 
     /// Evict every entry whose set is a superset of any `changed` set and
@@ -163,21 +136,6 @@ mod tests {
         let evicted = memo.invalidate_supersets(&[rs(&[1])]);
         assert_eq!(evicted, 2);
         assert!(memo.contains(rs(&[0])));
-    }
-
-    #[test]
-    fn version_pin_clears_on_mismatch_only() {
-        let mut memo = PlanMemo::new();
-        memo.insert(rs(&[0]), entry());
-        // Same version: a no-op.
-        assert!(!memo.set_data_version(DataVersion::ZERO));
-        assert_eq!(memo.len(), 1);
-        // Data moved: the whole table is stale.
-        assert!(memo.set_data_version(DataVersion::new(1)));
-        assert!(memo.is_empty());
-        assert_eq!(memo.data_version(), DataVersion::new(1));
-        // Clearing an already-empty memo reports no drop.
-        assert!(!memo.set_data_version(DataVersion::new(2)));
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //! the validation trace follows the round's own plan shape; only the
 //! per-node scan/join work is skipped.)
 //!
-//! The cache additionally records the full-database estimate derived for
-//! each validated [`RelSet`], so an already-validated set is never
-//! re-executed *or* re-scaled in later rounds.
-//!
 //! The fingerprint also folds in the *base table* of every covered
 //! relation occurrence, which makes it safe to share one cache across
 //! *different queries* of one database: two subtrees hash alike only when
@@ -40,10 +36,10 @@
 //! a refresh left alone keep hitting. [`SharedSampleRunCache::retain_current`]
 //! then frees what a refresh made unreachable.
 //!
-//! A cache is only meaningful for one [`crate::ValidationOpts`] — `min_rows`
-//! is baked into the recorded estimates (the executor re-applies the row
-//! cap itself); [`crate::validate_plan_cached`] documents the contract.
-//! Row sets are stored and replayed by value: dry-run intermediates are
+//! The cache holds sample row sets only — never estimates derived from
+//! them — so it serves any [`crate::ValidationOpts`] (the executor
+//! re-applies the row cap on every replay). Row sets are stored and
+//! replayed by value: dry-run intermediates are
 //! bounded by the deliberately small sample tables, so plain clones beat
 //! the API complexity of sharing them.
 
@@ -68,10 +64,6 @@ type Key = (RelSet, u64);
 struct CacheState {
     /// Subtree output rows over the sample database.
     results: FxHashMap<Key, RowSet>,
-    /// Full-database estimates, keyed like `results` so one cache can
-    /// serve several queries whose relation sets overlap but differ in
-    /// predicates.
-    validated: FxHashMap<Key, f64>,
     /// Base tables covered by each fingerprint with the sample version it
     /// was computed at, recorded when the fingerprint is computed — what
     /// [`SharedSampleRunCache::retain_current`] checks.
@@ -89,8 +81,6 @@ pub struct SampleCacheStats {
     pub executed: usize,
     /// Distinct subtree row sets held.
     pub entries: usize,
-    /// Distinct validated full-database estimates held.
-    pub validated: usize,
 }
 
 /// The sample dry-run cache (see the module docs): a clonable, thread-safe
@@ -138,7 +128,6 @@ impl SharedSampleRunCache {
             hits: g.hits,
             executed: g.executed,
             entries: g.results.len(),
-            validated: g.validated.len(),
         }
     }
 
@@ -156,31 +145,16 @@ impl SharedSampleRunCache {
             .unwrap_or(DataVersion::ZERO)
     }
 
-    /// The full-database estimate previously derived for `(set, fp)`, if
-    /// any.
-    pub fn validated_estimate(&self, set: RelSet, fp: u64) -> Option<f64> {
-        self.lock().validated.get(&(set, fp)).copied()
-    }
-
-    /// Record the full-database estimate derived for `(set, fp)`.
-    pub fn record_validated(&self, set: RelSet, fp: u64, estimate: f64) {
-        self.lock().validated.insert((set, fp), estimate);
-    }
-
     /// Across all sharers, keep only entries every covered table of which
     /// still has the sample version `samples` holds, and drop the rest —
     /// including entries stored by sessions on an older snapshot, which no
     /// session on `samples` could ever read. Entries whose fingerprint was
     /// never sighted via [`SubtreeCache::fingerprint`] are dropped
-    /// conservatively. Returns `(kept, dropped)`, counting row sets and
-    /// estimates alike.
+    /// conservatively. Returns `(kept, dropped)` row sets.
     pub fn retain_current(&self, samples: &SampleStore) -> (usize, usize) {
         let mut g = self.lock();
         let CacheState {
-            results,
-            validated,
-            tables_of,
-            ..
+            results, tables_of, ..
         } = &mut *g;
         // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
         tables_of.retain(|_, tables| {
@@ -188,12 +162,10 @@ impl SharedSampleRunCache {
                 .iter()
                 .all(|&(t, v)| samples.table_version(t).ok() == Some(v))
         });
-        let before = results.len() + validated.len();
+        let before = results.len();
         // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
         results.retain(|k, _| tables_of.contains_key(&k.1));
-        // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
-        validated.retain(|k, _| tables_of.contains_key(&k.1));
-        let kept = results.len() + validated.len();
+        let kept = results.len();
         (kept, before - kept)
     }
 }
@@ -507,14 +479,11 @@ mod tests {
         assert_ne!(old_fp, new_fp, "table 1's sample was redrawn");
         let set = p.relset();
         old_session.store(set, old_fp, &RowSet::single(RelId::new(0), vec![0, 1]));
-        old_session.record_validated(set, old_fp, 42.0);
         // A session on the redrawn samples sees nothing from before…
         assert!(new_session.lookup(set, new_fp).is_none());
-        assert!(new_session.validated_estimate(set, new_fp).is_none());
         // …while the old-snapshot session keeps replaying its own entries,
         // even though both share one underlying cache.
         assert!(old_session.lookup(set, old_fp).is_some());
-        assert_eq!(old_session.validated_estimate(set, old_fp), Some(42.0));
         assert_eq!(shared.stats().entries, 1);
         // A subtree over the untouched table alone is the same entry in
         // both generations.
@@ -538,15 +507,12 @@ mod tests {
         let fp12 = h.fingerprint(&q, &p12).unwrap();
         h.store(p01.relset(), fp01, &RowSet::single(RelId::new(0), vec![0]));
         h.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
-        h.record_validated(p01.relset(), fp01, 10.0);
-        h.record_validated(p12.relset(), fp12, 20.0);
-        // Table 2 was refreshed: the {1,2} entries die, the {0,1} stay.
-        assert_eq!(shared.retain_current(&new), (2, 2));
+        // Table 2 was refreshed: the {1,2} entry dies, the {0,1} stays.
+        assert_eq!(shared.retain_current(&new), (1, 1));
         let mut current = shared.clone();
         current.bind(&new);
         assert_eq!(current.fingerprint(&q, &p01), Some(fp01));
         assert!(current.lookup(p01.relset(), fp01).is_some());
-        assert_eq!(current.validated_estimate(p01.relset(), fp01), Some(10.0));
         let fresh12 = current.fingerprint(&q, &p12).unwrap();
         assert_ne!(fresh12, fp12);
         assert!(current.lookup(p12.relset(), fresh12).is_none());
@@ -556,10 +522,10 @@ mod tests {
         assert!(h.lookup(p12.relset(), fp12).is_none());
         h.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
         assert_eq!(shared.stats().entries, 2);
-        assert_eq!(shared.retain_current(&new), (2, 1));
+        assert_eq!(shared.retain_current(&new), (1, 1));
         assert_eq!(shared.stats().entries, 1);
         // With nothing redrawn, a retain keeps everything.
-        assert_eq!(shared.retain_current(&new), (2, 0));
+        assert_eq!(shared.retain_current(&new), (1, 0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `GetCardinalityEstimatesBySampling` step of Algorithm 1. The [`cache`]
 //! module adds cross-round dry-run caching for incremental
 //! re-optimization: one clonable, thread-safe cache
-//! ([`SharedSampleRunCache`]) that also pools validated subtree estimates
+//! ([`SharedSampleRunCache`]) that also pools dry-run subtree row sets
 //! across the concurrent sessions of a query service.
 
 pub mod cache;

@@ -12,7 +12,7 @@ use std::time::Duration;
 use crate::cache::SharedSampleRunCache;
 use crate::estimator::scale_up;
 use crate::sampler::SampleStore;
-use reopt_common::{FxHashMap, RelSet, Result};
+use reopt_common::Result;
 use reopt_executor::{ExecOpts, Executor, SubtreeCache};
 use reopt_optimizer::CardOverrides;
 use reopt_plan::{PhysicalPlan, Query};
@@ -88,14 +88,14 @@ pub fn validate_plan(
 
 /// Like [`validate_plan`], but consulting (and refilling) a cross-round
 /// [`SharedSampleRunCache`]: subtrees whose canonical fingerprint was
-/// executed before are replayed from the cache, and subtrees whose
-/// full-database estimate was already derived are never re-scaled. The
-/// cache must be used with one fixed `opts` only — recorded estimates bake
-/// in `opts.min_rows`, so changing options requires a fresh cache (the
-/// intermediate-row cap is exempt: the executor re-checks it on every
-/// replay). Sharing one cache across *queries* and *sample stores* of the
-/// same database is sound: entries are keyed by the table-aware canonical
-/// fingerprint and the sample version of every covered table.
+/// executed before are replayed from the cache, and every estimate is
+/// re-derived from the replayed sample row count — the same bits, since
+/// the fingerprint pins the samples it counts over. The cache holds row
+/// sets only, so any `opts` may share it (the executor re-checks the
+/// intermediate-row cap on every replay). Sharing one cache across
+/// *queries* and *sample stores* of the same database is sound: entries
+/// are keyed by the table-aware canonical fingerprint and the sample
+/// version of every covered table.
 pub fn validate_plan_cached(
     query: &Query,
     plan: &PhysicalPlan,
@@ -122,22 +122,11 @@ fn dry_run(
             tracer: opts.tracer.under(&span),
         },
     );
-    // Canonical fingerprint of each subtree, for estimate-cache keys. The
-    // trace's relation sets are exactly the plan's node relsets, and
-    // within one plan a relset identifies its subtree uniquely. Routed
-    // through the cache's own `fingerprint` so it records each subtree's
-    // base tables and their sample versions.
-    let mut fps: FxHashMap<RelSet, u64> = FxHashMap::default();
     let before = cache.as_mut().map(|c| {
         // Key every cache operation by these samples' table versions: rows
         // dry-run over another sample of any covered table are
         // unreachable, so a stale replay is structurally impossible.
         c.bind(samples);
-        plan.visit(&mut |n| {
-            if let Some(fp) = c.fingerprint(query, n) {
-                fps.insert(n.relset(), fp);
-            }
-        });
         c.stats()
     });
     let traced = exec.run_pipeline(
@@ -163,23 +152,11 @@ fn dry_run(
         if set.len() < 2 && !opts.validate_leaves {
             continue;
         }
-        let cached = cache.as_deref().zip(fps.get(set).copied());
-        // An already-validated subtree keeps its recorded estimate —
-        // sampling is deterministic, so re-deriving it would produce the
-        // same number; reusing guarantees it.
-        if let Some(est) = cached.and_then(|(c, fp)| c.validated_estimate(*set, fp)) {
-            delta.insert(*set, est);
-            continue;
-        }
         let mut scale = 1.0;
         for rel in set.iter() {
             scale *= samples.scale_factor(query.table_of(rel)?)?;
         }
-        let estimate = scale_up(*sample_rows, scale, opts.min_rows);
-        if let Some((c, fp)) = cached {
-            c.record_validated(*set, fp, estimate);
-        }
-        delta.insert(*set, estimate);
+        delta.insert(*set, scale_up(*sample_rows, scale, opts.min_rows));
     }
     if span.is_recording() {
         span.attr_u64("cache_hits", cache_hits as u64);

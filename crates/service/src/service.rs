@@ -8,7 +8,7 @@ use crate::cache::{Admission, CachedPlan, Freshness, LeadGuard, PlanCache};
 use crate::ingest::DriftConfig;
 use reopt_common::{lock_unpoisoned, Result, Stopwatch, TableId};
 use reopt_core::{MidQueryStats, ReoptEngine};
-use reopt_executor::{ExecOpts, Executor, QueryOutput};
+use reopt_executor::{ExecOpts, QueryOutput};
 use reopt_plan::{PhysicalPlan, Query, QueryTemplate};
 use reopt_sampling::{SampleCacheStats, SampleConfig, SharedSampleRunCache};
 use reopt_stats::{AnalyzeOpts, DatabaseStats};
@@ -567,8 +567,9 @@ impl QueryService {
     /// [`ExecOpts::threads`] (partition-parallel scans and hash joins,
     /// bit-identical results at any thread count).
     ///
-    /// With the engine's [`ReOptConfig::mid_query`] on, the admitted plan
-    /// executes under the suspend → refine → replan → resume loop:
+    /// The plan runs through [`ReoptEngine::execute_plan`]. With the
+    /// engine's [`ReOptConfig::mid_query`] on, it executes under the
+    /// suspend → refine → replan → resume loop:
     /// execution pauses at each materialization point, exact observed
     /// cardinalities re-plan the remainder, and checkpointed subtrees are
     /// spliced into the successor — the result is equivalent either way,
@@ -613,36 +614,16 @@ impl QueryService {
         // The plan runs on the snapshot it was admitted under, never on a
         // later one an ingest published in between.
         let (response, snap) = self.admit(query, &inner)?;
-        let engine = &snap.engine;
         let exec_opts = ExecOpts {
             tracer: inner.clone(),
             ..self.exec_opts.clone()
         };
-        let out = if engine.reopt_config().mid_query {
-            let t0 = Stopwatch::start();
-            let run = engine.execute_plan_mid_query(query, &response.plan, exec_opts)?;
-            let mut metrics = run.metrics.clone();
-            metrics.elapsed = t0.elapsed();
-            let output = QueryOutput {
-                join_rows: run.join_rows(),
-                agg: run.agg,
-                metrics,
-            };
-            ExecutedQuery {
-                response,
-                output,
-                mid_query: Some(run.report.stats),
-                trace: None,
-            }
-        } else {
-            let exec = Executor::with_opts(engine.db(), exec_opts);
-            let output = exec.run(query, &response.plan)?;
-            ExecutedQuery {
-                response,
-                output,
-                mid_query: None,
-                trace: None,
-            }
+        let run = snap.engine.execute_plan(query, &response.plan, exec_opts)?;
+        let out = ExecutedQuery {
+            response,
+            mid_query: run.mid_query.then_some(run.report.stats),
+            output: run.into_output(),
+            trace: None,
         };
         if root.is_recording() {
             root.attr_u64("join_rows", out.output.join_rows);
@@ -746,7 +727,6 @@ impl QueryService {
         snap.set_counter("sample_cache.hits", s.sample_cache.hits as u64);
         snap.set_counter("sample_cache.executed", s.sample_cache.executed as u64);
         snap.set_gauge("sample_cache.entries", s.sample_cache.entries as f64);
-        snap.set_gauge("sample_cache.validated", s.sample_cache.validated as f64);
         snap
     }
 

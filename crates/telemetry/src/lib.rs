@@ -4,11 +4,15 @@
 //! Three pieces:
 //!
 //! * [`span`] — structured spans. A [`Tracer`] handle is threaded through
-//!   `QueryService::submit/execute`, `ReOptimizer::run`, `execute_mid_query`,
-//!   sample validation and the executor; each layer opens named, nested
-//!   spans with typed attributes. A disabled tracer is a true no-op.
+//!   `QueryService::submit/execute`, `ReOptimizer::run`, the one
+//!   plan-execution path behind `ReoptEngine::execute_plan` (straight
+//!   through, or the `midquery.*` loop), sample validation and the
+//!   executor; each layer opens named, nested spans with typed attributes.
+//!   A disabled tracer is a true no-op.
 //! * [`metrics`] — an ordered counters/gauges/histograms registry with a
-//!   fixed-bucket latency histogram (p50/p95/p99 within 12.5%).
+//!   fixed-bucket latency histogram (p50/p95/p99 within 12.5%). Samples
+//!   are whole microseconds, so a sub-µs operation (a warm plan-cache hit
+//!   in an optimized build) records 0.
 //! * [`export`] — Chrome-trace-format (Perfetto-loadable) and JSON-lines
 //!   writers for finished [`QueryTrace`]s.
 //!

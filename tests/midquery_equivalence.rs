@@ -144,6 +144,26 @@ fn trajectory_digest(run: &MidQueryRun) -> (Vec<u64>, usize, usize, usize) {
     )
 }
 
+/// The bound that replaced a suspension cap: each suspension merges two
+/// of the plan's components and the root join never suspends, so a query
+/// suspends at most `relations − 2` times, and a replan only ever follows
+/// a suspension.
+fn assert_suspension_bound(run: &MidQueryRun, query: &Query, label: &str) {
+    let s = &run.report.stats;
+    assert!(
+        s.suspensions + 2 <= query.num_relations(),
+        "{label}: {} suspensions over {} relations",
+        s.suspensions,
+        query.num_relations()
+    );
+    assert!(
+        s.replans <= s.suspensions,
+        "{label}: {} replans after {} suspensions",
+        s.replans,
+        s.suspensions
+    );
+}
+
 /// The conformance check for one (workload, query):
 ///
 /// 1. straight-through execution of the sampling loop's final plan is the
@@ -175,6 +195,7 @@ fn check_conformance(bound: &Bound, query: &Query, label: &str) {
         let mid = ReOptimizer::with_config(&opt, &bound.samples, config)
             .execute_with_opts(query, ExecOpts::with_threads(threads))
             .unwrap();
+        assert_suspension_bound(&mid.run, query, &format!("{label} threads={threads}"));
 
         assert_eq!(
             reference,
@@ -223,10 +244,7 @@ fn check_conformance(bound: &Bound, query: &Query, label: &str) {
         canonical(&gated.run.rows),
         "{label}: gated mid-query result differs"
     );
-    assert!(
-        gated.run.report.stats.replans <= gated.run.report.stats.suspensions,
-        "{label}: gate can only skip replans"
-    );
+    assert_suspension_bound(&gated.run, query, &format!("{label} gated"));
 
     // Thread-count invariance of the whole trajectory.
     let base = &runs[0];
@@ -305,6 +323,8 @@ fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
     };
     let a = mid_of(&cold);
     let b = mid_of(&warm);
+    assert_suspension_bound(&a, query, label);
+    assert_suspension_bound(&b, query, label);
     assert_rowsets_bit_identical(&a.rows, &b.rows, label);
     assert_eq!(
         trajectory_digest(&a),
@@ -330,6 +350,7 @@ fn check_reference_conformance(bound: &Bound, query: &Query, label: &str) {
             .execute_with_opts(query, ExecOpts::with_threads(threads))
             .unwrap()
             .run;
+        assert_suspension_bound(&mid, query, &format!("{label} threads={threads}"));
         let oracle = reference::join_rows(&bound.db, query, mid.report.final_plan()).unwrap();
         assert_eq!(
             canonical(&oracle),
@@ -377,6 +398,8 @@ fn check_tracing_invariance(bound: &Bound, query: &Query, label: &str) {
         let tracer = Tracer::enabled();
         let on = run_with(tracer.clone());
         let ctx = format!("{label}: threads={threads}");
+        assert_suspension_bound(&off.run, query, &ctx);
+        assert_suspension_bound(&on.run, query, &ctx);
         assert_rowsets_bit_identical(&off.run.rows, &on.run.rows, &ctx);
         assert_eq!(
             trajectory_digest(&off.run),
@@ -547,6 +570,7 @@ fn same_plan_resume_is_free() {
         },
     )
     .unwrap();
+    assert_suspension_bound(&mid, &q, "ott[0,0,0,0]");
     assert_eq!(mid.report.stats.plan_switches, 0, "fixture must not switch");
     assert!(mid.report.stats.suspensions > 0);
     assert_eq!(mid.metrics.rows_scanned, base.metrics.rows_scanned);

@@ -277,6 +277,10 @@ proptest! {
 
         prop_assert_eq!(canonical(&straight.rows), canonical(&mid.rows));
         prop_assert!(mid.report.stats.suspensions >= 1);
+        // No cap: each suspension merges two components, and the root
+        // join never suspends.
+        prop_assert!(mid.report.stats.suspensions + 2 <= q.num_relations());
+        prop_assert!(mid.report.stats.replans <= mid.report.stats.suspensions);
 
         // Exactness against an independent straight re-execution of the
         // finishing plan.

@@ -215,10 +215,12 @@ fn service_stats_latency_summary_tracks_submissions() {
     }
     let s = svc.stats();
     assert_eq!(s.latency.count, 5);
-    assert!(s.latency.p50_us > 0, "{:?}", s.latency);
+    // Four of the five are warm hits on one template, which an optimized
+    // build serves in under 1 µs — a median of 0 is correct. The cold miss
+    // re-optimized, so the maximum is not.
+    assert!(s.latency.max_us > 0, "{:?}", s.latency);
     assert!(s.latency.p50_us <= s.latency.p95_us);
     assert!(s.latency.p95_us <= s.latency.p99_us);
-    assert!(s.latency.p99_us <= s.latency.max_us.max(s.latency.p99_us));
     assert!(s.latency.max_us >= s.latency.mean_us);
 }
 
