@@ -18,7 +18,7 @@ use crate::report::ReoptReport;
 use reopt_common::Result;
 use reopt_optimizer::{CardOverrides, Optimizer, OptimizerConfig, PlanMemo};
 use reopt_plan::Query;
-use reopt_sampling::{SampleConfig, SampleStore, SharedSampleRunCache};
+use reopt_sampling::{SampleConfig, SampleStore, SharedSampleRunCache, Validation};
 use reopt_stats::{analyze_database, AnalyzeOpts, DatabaseStats};
 use reopt_storage::Database;
 use reopt_telemetry::Tracer;
@@ -204,13 +204,15 @@ impl ReoptEngine {
     /// decide whether a surgically-evicted plan is still good. The dry
     /// run goes through `sample_cache`: subtrees another session already
     /// validated against the current samples are replayed, not re-run.
+    /// Returns the cost together with the dry run's [`Validation`], whose
+    /// `cache_hits` / `subtrees_executed` count this run alone.
     pub fn revalidate_plan(
         &self,
         query: &Query,
         plan: &reopt_plan::PhysicalPlan,
         sample_cache: &SharedSampleRunCache,
         tracer: &Tracer,
-    ) -> Result<f64> {
+    ) -> Result<(f64, Validation)> {
         let mut opts = self.reopt_config.validation.clone();
         opts.tracer = tracer.clone();
         let v = reopt_sampling::validate_plan_cached(
@@ -223,7 +225,7 @@ impl ReoptEngine {
         let optimizer =
             Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone());
         let (_, cost) = optimizer.cost_plan(query, plan, &v.delta)?;
-        Ok(cost)
+        Ok((cost, v))
     }
 
     /// Execute an already-chosen plan — the serving layer's execute path
@@ -367,7 +369,7 @@ mod tests {
         let report = engine.reoptimize(&q).unwrap();
         let tracer = Tracer::disabled();
         let shared = SharedSampleRunCache::new();
-        let cost = engine
+        let (cost, first) = engine
             .revalidate_plan(&q, &report.final_plan, &shared, &tracer)
             .unwrap();
         assert!(
@@ -376,12 +378,16 @@ mod tests {
             "revalidated {cost} vs loop {0}",
             report.final_validated_cost
         );
-        // The dry run leaves its entries behind, and a replay agrees.
-        assert!(shared.stats().entries > 0);
-        let replayed = engine
+        // The dry run leaves its entries behind, and a replay agrees —
+        // answered wholly from the cache this time.
+        assert!(shared.entries() > 0);
+        assert_eq!(first.cache_hits, 0);
+        let (replayed, again) = engine
             .revalidate_plan(&q, &report.final_plan, &shared, &tracer)
             .unwrap();
         assert_eq!(replayed, cost);
+        assert_eq!(again.subtrees_executed, 0);
+        assert_eq!(again.cache_hits, first.subtrees_executed);
     }
 
     #[test]
@@ -412,6 +418,6 @@ mod tests {
                 });
             }
         });
-        assert!(shared.stats().executed > 0);
+        assert!(shared.entries() > 0);
     }
 }

@@ -94,9 +94,10 @@ pub struct MidQueryRun {
     pub rows: RowSet,
     /// Aggregate output, when the query has an aggregate stage.
     pub agg: Option<AggOutput>,
-    /// Executor counters summed over every segment (splices do no work and
-    /// add nothing, so a switch-free run's totals equal straight-through
-    /// execution's exactly).
+    /// Executor counters summed over every segment. Splices do no work:
+    /// they count only in [`ExecMetrics::cache_hits`] (equal to
+    /// [`MidQueryStats::splices`]), so a switch-free run's work counters
+    /// equal straight-through execution's exactly.
     pub metrics: ExecMetrics,
     /// Whether mid-query re-optimization was on
     /// ([`ReOptConfig::mid_query`]). A query the DP cannot re-plan runs
@@ -253,7 +254,6 @@ pub fn execute_mid_query(
     let run = loop {
         let seg_span = run_tracer.span(names::MIDQUERY_SEGMENT);
         let seg_tracer = run_tracer.under(&seg_span);
-        let splices_before = store.splices();
         let exec = Executor::with_opts(
             db,
             ExecOpts {
@@ -263,12 +263,15 @@ pub fn execute_mid_query(
         );
         let step = exec.run_step(query, &plan, &mut store)?;
         if seg_span.is_recording() {
-            let spliced = store.splices().saturating_sub(splices_before);
+            let spliced = match &step {
+                ExecStep::Complete(run) => run.metrics.cache_hits,
+                ExecStep::Suspended { metrics, .. } => metrics.cache_hits,
+            };
             if spliced > 0 {
                 // Zero-duration marker: this segment reused checkpointed
                 // work instead of executing it.
                 let mut sp = seg_tracer.span(names::MIDQUERY_SPLICE);
-                sp.attr_u64("reused", spliced as u64);
+                sp.attr_u64("reused", spliced);
             }
         }
         match step {
@@ -382,7 +385,7 @@ pub fn execute_mid_query(
     );
     let agg = finish.aggregate(query, &run.rows, &mut metrics)?;
     stats.checkpoints = store.len();
-    stats.splices = store.splices();
+    stats.splices = metrics.cache_hits as usize;
     stats.exact_gamma_entries = gamma.exact_len() - exact_before;
     if run_span.is_recording() {
         run_span.attr_u64("suspensions", stats.suspensions as u64);

@@ -748,22 +748,19 @@ mod tests {
         // Cross-query pooling: qb alone (fresh cache) vs qb after qa.
         let fresh = SharedSampleRunCache::new();
         let rb_alone = re.run_with(&qb, &fresh, &Tracer::disabled()).unwrap();
-        let alone = fresh.stats();
-        let before = shared.stats();
         let rb = re.run_with(&qb, &shared, &Tracer::disabled()).unwrap();
-        let after = shared.stats();
         assert!(rb.final_plan.same_structure(&rb_alone.final_plan));
         assert!(
-            after.hits - before.hits > alone.hits,
+            rb.total_sample_cache_hits() > rb_alone.total_sample_cache_hits(),
             "sharing must add cross-query hits: {} vs {} alone",
-            after.hits - before.hits,
-            alone.hits
+            rb.total_sample_cache_hits(),
+            rb_alone.total_sample_cache_hits()
         );
         assert!(
-            after.executed - before.executed < alone.executed,
+            rb.total_sample_subtrees_executed() < rb_alone.total_sample_subtrees_executed(),
             "sharing must execute fewer subtrees: {} vs {} alone",
-            after.executed - before.executed,
-            alone.executed
+            rb.total_sample_subtrees_executed(),
+            rb_alone.total_sample_subtrees_executed()
         );
     }
 

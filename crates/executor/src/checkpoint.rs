@@ -45,21 +45,13 @@ use std::collections::BTreeMap;
 pub struct CheckpointStore {
     /// Materialized output of every completed node, keyed by relation set
     /// (see the module docs for why that key is sound within one query).
-    /// Ordered maps (rule R1): [`CheckpointStore::observed`] walks these
+    /// An ordered map (rule R1): [`CheckpointStore::observed`] walks it
     /// and its order reaches Γ insertion order and the replan loop.
     results: BTreeMap<RelSet, RowSet>,
-    /// Exact observed output cardinality of every completed node —
-    /// everything `results` holds, kept separately so callers can fold the
-    /// counts into Γ without touching the row sets.
-    observed: BTreeMap<RelSet, u64>,
     /// Suspension history: the breaker subtree executed at each
     /// [`ExecStep::Suspended`], in order. Later breakers may strictly
     /// contain earlier ones (the remainder keeps joining on top).
     breakers: Vec<(RelSet, PhysicalPlan)>,
-    /// Nodes answered by replaying a checkpoint instead of executing.
-    splices: usize,
-    /// Nodes executed fresh and checkpointed.
-    stored: usize,
     /// Sealed: lookups still splice, but fresh results are no longer
     /// checkpointed. Set by the final [`Executor::run_step`] segment —
     /// nothing runs after it, so copying its intermediates (and the final
@@ -81,7 +73,7 @@ impl CheckpointStore {
     /// Exact observed cardinalities of every completed node, in ascending
     /// [`RelSet`] order — deterministic across runs and processes.
     pub fn observed(&self) -> impl Iterator<Item = (RelSet, u64)> + '_ {
-        self.observed.iter().map(|(&s, &n)| (s, n))
+        self.results.iter().map(|(&s, rows)| (s, rows.len() as u64))
     }
 
     /// Number of checkpointed node results.
@@ -92,16 +84,6 @@ impl CheckpointStore {
     /// True when nothing has been checkpointed.
     pub fn is_empty(&self) -> bool {
         self.results.is_empty()
-    }
-
-    /// Nodes answered by splicing a checkpoint instead of executing.
-    pub fn splices(&self) -> usize {
-        self.splices
-    }
-
-    /// Nodes executed fresh and checkpointed.
-    pub fn stored(&self) -> usize {
-        self.stored
     }
 
     /// The completed subtrees a replan must treat as atomic, already-paid
@@ -118,7 +100,7 @@ impl CheckpointStore {
                     .iter()
                     .any(|(other, _)| *set != *other && set.is_subset_of(*other))
             })
-            .map(|(set, plan)| (*set, plan.clone(), self.observed[set]))
+            .map(|(set, plan)| (*set, plan.clone(), self.results[set].len() as u64))
             .collect()
     }
 
@@ -138,24 +120,17 @@ impl SubtreeCache for CheckpointStore {
     }
 
     fn lookup(&mut self, set: RelSet, _fp: u64) -> Option<RowSet> {
-        let hit = self.results.get(&set)?.clone();
-        self.splices += 1;
-        Some(hit)
+        self.results.get(&set).cloned()
     }
 
     fn peek_rows(&mut self, set: RelSet, _fp: u64) -> Option<u64> {
-        let n = self.results.get(&set)?.len() as u64;
-        self.splices += 1;
-        Some(n)
+        Some(self.results.get(&set)?.len() as u64)
     }
 
     fn store(&mut self, set: RelSet, _fp: u64, rows: &RowSet) {
-        if self.sealed {
-            return;
+        if !self.sealed {
+            self.results.insert(set, rows.clone());
         }
-        self.stored += 1;
-        self.observed.insert(set, rows.len() as u64);
-        self.results.insert(set, rows.clone());
     }
 }
 
@@ -172,8 +147,8 @@ pub enum ExecStep {
         breaker: RelSet,
         /// Its exact observed output cardinality.
         breaker_rows: u64,
-        /// Executor counters for this segment only (cache splices do no
-        /// work and count nothing).
+        /// Executor counters for this segment only (checkpoint splices do
+        /// no work and count only in [`ExecMetrics::cache_hits`]).
         metrics: ExecMetrics,
     },
     /// No unfinished breaker remained: the plan ran to completion,
@@ -381,7 +356,7 @@ mod tests {
         assert_eq!(total.rows_scanned, straight.metrics.rows_scanned);
         assert_eq!(total.rows_produced, straight.metrics.rows_produced);
         assert_eq!(total.index_probes, straight.metrics.index_probes);
-        assert!(store.splices() > 0, "resume must splice the checkpoint");
+        assert!(total.cache_hits > 0, "resume must splice the checkpoint");
     }
 
     #[test]
@@ -412,7 +387,7 @@ mod tests {
             RelSet::single(RelId::new(1)),
             RelSet::first_n(2),
         ] {
-            assert!(store.observed.contains_key(&set), "{set}");
+            assert!(store.observed().any(|(s, _)| s == set), "{set}");
         }
     }
 
@@ -429,7 +404,7 @@ mod tests {
         else {
             panic!("expected a suspension");
         };
-        let stored_before = store.stored();
+        let stored_before = store.len();
 
         // ...then resume under a *different* remainder shape that keeps
         // the checkpointed {0,1} subtree as a unit (operands swapped at
@@ -443,8 +418,8 @@ mod tests {
         // the only fresh work is the new scan of relation 2 (40 rows) and
         // the root join. The final segment is sealed — it checkpoints
         // nothing, since no replan can follow it.
-        assert!(store.splices() > 0);
-        assert_eq!(store.stored(), stored_before, "final segment must seal");
+        assert!(run.metrics.cache_hits > 0);
+        assert_eq!(store.len(), stored_before, "final segment must seal");
         assert_eq!(run.metrics.rows_scanned, 40, "only scan(2) may run");
         assert_eq!(run.rows.len(), 4 * 4 * 4 * 10);
 

@@ -146,7 +146,9 @@ pub struct TracedRun {
     /// subtrees the recorded (not re-executed) cardinalities are spliced
     /// in, so the trace is identical to an uncached run's.
     pub node_cards: Vec<(RelSet, u64)>,
-    /// Execution counters (cache hits produce no scan/probe/output work).
+    /// Execution counters. Cache hits produce no scan/probe/output work;
+    /// each one counts in [`ExecMetrics::cache_hits`], so
+    /// `node_cards.len() - cache_hits` nodes executed fresh.
     pub metrics: ExecMetrics,
 }
 
@@ -350,6 +352,7 @@ impl<'a> Executor<'a> {
                 cache.peek_rows(set, fp).map(|n| (n, None))
             };
             if let Some((count, rows)) = hit {
+                state.metrics.cache_hits += 1;
                 if let PhysicalPlan::Join {
                     algo, left, right, ..
                 } = plan

@@ -28,6 +28,11 @@ pub struct ExecMetrics {
     /// selected by dictionary-column predicates plus group keys rendered
     /// through a dictionary.
     pub dict_hits: u64,
+    /// Plan nodes answered by a [`SubtreeCache`](crate::SubtreeCache)
+    /// hit instead of executing: replayed dry-run subtrees, or spliced
+    /// mid-query checkpoints. Counted once per node, by the run that
+    /// consulted the cache.
+    pub cache_hits: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
 }
@@ -61,6 +66,7 @@ impl ExecMetrics {
         self.batches_processed += other.batches_processed;
         self.batch_rows += other.batch_rows;
         self.dict_hits += other.dict_hits;
+        self.cache_hits += other.cache_hits;
         self.elapsed += other.elapsed;
     }
 
@@ -68,8 +74,9 @@ impl ExecMetrics {
     /// Every merged field is a sum, so the fold is associative and
     /// commutative — worker completion order cannot change the totals
     /// (output rows are counted once at the operator via
-    /// [`ExecMetrics::record_output`], never by workers, and worker wall
-    /// clocks overlap, so neither is merged here).
+    /// [`ExecMetrics::record_output`] and cache hits once per node, never
+    /// by workers, and worker wall clocks overlap, so none is merged
+    /// here).
     pub fn merge_worker(&mut self, worker: &ExecMetrics) {
         self.rows_scanned += worker.rows_scanned;
         self.index_probes += worker.index_probes;
@@ -141,6 +148,7 @@ mod tests {
             batches_processed: 5 * k + 1,
             batch_rows: 100 * k + 17,
             dict_hits: 8 * k,
+            cache_hits: 2 * k + 1,
             elapsed: Duration::from_micros(1000 * k + 5),
         };
         [mk(0), mk(1), mk(2)]

@@ -68,18 +68,21 @@ struct CacheState {
     /// was computed at, recorded when the fingerprint is computed — what
     /// [`SharedSampleRunCache::retain_current`] checks.
     tables_of: FxHashMap<u64, Vec<(TableId, DataVersion)>>,
-    hits: usize,
-    executed: usize,
 }
 
-/// Point-in-time counters of a [`SharedSampleRunCache`].
+/// Lifetime counters of the dry runs served through one
+/// [`SharedSampleRunCache`]. The cache keeps no tallies of its own: each
+/// dry run counts its hits exactly in
+/// [`ExecMetrics::cache_hits`](reopt_executor::ExecMetrics::cache_hits)
+/// and reports them on its [`crate::Validation`], and whoever owns the
+/// cache sums those (the serving layer does so in its metrics registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SampleCacheStats {
-    /// Subtree lookups answered from the cache, across all sharers.
+    /// Subtrees answered from the cache, across all sharers.
     pub hits: usize,
-    /// Subtrees executed fresh (= stored), across all sharers.
+    /// Subtrees executed fresh, across all sharers.
     pub executed: usize,
-    /// Distinct subtree row sets held.
+    /// Distinct subtree row sets held ([`SharedSampleRunCache::entries`]).
     pub entries: usize,
 }
 
@@ -92,9 +95,8 @@ pub struct SampleCacheStats {
 ///
 /// Locking is per cache operation, not per validation: two sessions
 /// validating disjoint plans proceed mostly in parallel, serializing only
-/// on the map accesses. Under concurrency the per-validation hit/executed
-/// counters attributed to one run may include a neighbor's traffic; the
-/// lifetime totals in [`SampleCacheStats`] are always exact.
+/// on the map accesses. The executor counts each hit on the run that made
+/// it, so the per-validation counts stay exact under any sharing.
 ///
 /// Each *handle* carries the table versions of the store it was last bound
 /// to (copied by `clone`): a session admitted under an older snapshot keeps
@@ -121,14 +123,9 @@ impl SharedSampleRunCache {
         reopt_common::lock_unpoisoned(&self.inner)
     }
 
-    /// Point-in-time counters.
-    pub fn stats(&self) -> SampleCacheStats {
-        let g = self.lock();
-        SampleCacheStats {
-            hits: g.hits,
-            executed: g.executed,
-            entries: g.results.len(),
-        }
+    /// Distinct subtree row sets held, across all sharers.
+    pub fn entries(&self) -> usize {
+        self.lock().results.len()
     }
 
     /// Qualify this handle's subsequent fingerprints with `samples`' table
@@ -153,9 +150,7 @@ impl SharedSampleRunCache {
     /// conservatively. Returns `(kept, dropped)` row sets.
     pub fn retain_current(&self, samples: &SampleStore) -> (usize, usize) {
         let mut g = self.lock();
-        let CacheState {
-            results, tables_of, ..
-        } = &mut *g;
+        let CacheState { results, tables_of } = &mut *g;
         // lint: ordered-ok(a per-entry predicate; visit order is irrelevant)
         tables_of.retain(|_, tables| {
             tables
@@ -199,23 +194,15 @@ impl SubtreeCache for SharedSampleRunCache {
     }
 
     fn lookup(&mut self, set: RelSet, fp: u64) -> Option<RowSet> {
-        let mut g = self.lock();
-        let rows = g.results.get(&(set, fp))?.clone();
-        g.hits += 1;
-        Some(rows)
+        self.lock().results.get(&(set, fp)).cloned()
     }
 
     fn peek_rows(&mut self, set: RelSet, fp: u64) -> Option<u64> {
-        let mut g = self.lock();
-        let n = g.results.get(&(set, fp))?.len() as u64;
-        g.hits += 1;
-        Some(n)
+        Some(self.lock().results.get(&(set, fp))?.len() as u64)
     }
 
     fn store(&mut self, set: RelSet, fp: u64, rows: &RowSet) {
-        let mut g = self.lock();
-        g.executed += 1;
-        g.results.insert((set, fp), rows.clone());
+        self.lock().results.insert((set, fp), rows.clone());
     }
 }
 
@@ -431,10 +418,7 @@ mod tests {
         a.store(set, fp, &RowSet::single(RelId::new(0), vec![0, 1]));
         // The clone sees the store immediately.
         assert!(b.lookup(set, fp).is_some());
-        let stats = shared.stats();
-        assert_eq!(stats.executed, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
+        assert_eq!(shared.entries(), 1);
     }
 
     /// `k` one-column tables of 1000 rows, ids `0..k`.
@@ -484,7 +468,7 @@ mod tests {
         // …while the old-snapshot session keeps replaying its own entries,
         // even though both share one underlying cache.
         assert!(old_session.lookup(set, old_fp).is_some());
-        assert_eq!(shared.stats().entries, 1);
+        assert_eq!(shared.entries(), 1);
         // A subtree over the untouched table alone is the same entry in
         // both generations.
         assert_eq!(
@@ -521,9 +505,9 @@ mod tests {
         // samples and goes at the next retain.
         assert!(h.lookup(p12.relset(), fp12).is_none());
         h.store(p12.relset(), fp12, &RowSet::single(RelId::new(1), vec![1]));
-        assert_eq!(shared.stats().entries, 2);
+        assert_eq!(shared.entries(), 2);
         assert_eq!(shared.retain_current(&new), (1, 1));
-        assert_eq!(shared.stats().entries, 1);
+        assert_eq!(shared.entries(), 1);
         // With nothing redrawn, a retain keeps everything.
         assert_eq!(shared.retain_current(&new), (1, 0));
     }

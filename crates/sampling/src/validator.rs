@@ -69,10 +69,12 @@ pub struct Validation {
     /// cached run only counts rows of the subtrees it actually executed).
     pub sample_rows_produced: u64,
     /// Subtrees answered from the dry-run cache ([`validate_plan_cached`]
-    /// only; always 0 on the from-scratch path).
+    /// only; always 0 on the from-scratch path). Counted by the executor
+    /// for this run alone, so exact however many sessions share the cache.
     pub cache_hits: usize,
-    /// Subtrees executed fresh by this validation (from-scratch runs count
-    /// every plan node here).
+    /// Subtrees executed fresh by this validation: every plan node the
+    /// cache did not answer (from-scratch runs count every plan node
+    /// here).
     pub subtrees_executed: usize,
 }
 
@@ -122,30 +124,16 @@ fn dry_run(
             tracer: opts.tracer.under(&span),
         },
     );
-    let before = cache.as_mut().map(|c| {
+    if let Some(c) = cache.as_mut() {
         // Key every cache operation by these samples' table versions: rows
         // dry-run over another sample of any covered table are
         // unreachable, so a stale replay is structurally impossible.
         c.bind(samples);
-        c.stats()
-    });
-    let traced = exec.run_pipeline(
-        query,
-        plan,
-        cache.as_deref_mut().map(|c| c as &mut dyn SubtreeCache),
-    )?;
-    let (cache_hits, subtrees_executed) = match (before, &cache) {
-        // With a shared cache, concurrent sessions advance the counters
-        // too; saturate so a neighbor's clear() can't underflow the report.
-        (Some(before), Some(c)) => {
-            let after = c.stats();
-            (
-                after.hits.saturating_sub(before.hits),
-                after.executed.saturating_sub(before.executed),
-            )
-        }
-        _ => (0, traced.node_cards.len()),
-    };
+    }
+    let traced = exec.run_pipeline(query, plan, cache.map(|c| c as &mut dyn SubtreeCache))?;
+    // Every traced node was either answered by the cache or executed.
+    let cache_hits = traced.metrics.cache_hits as usize;
+    let subtrees_executed = traced.node_cards.len() - cache_hits;
 
     let mut delta = CardOverrides::new();
     for (set, sample_rows) in &traced.node_cards {
@@ -374,6 +362,119 @@ mod tests {
         );
         // Table 1's sample is the same in both stores: its scan is shared.
         assert!(via_b.cache_hits > 0);
+    }
+
+    #[test]
+    fn per_run_counts_stay_exact_under_a_shared_cache() {
+        // Four sessions validate overlapping plans through one cache at
+        // once. Each hit is counted by the run that made it, so every run
+        // accounts for each of its plan's nodes exactly once, whatever
+        // its neighbours replay or store meanwhile.
+        let mut db = ott_pair(20, 10);
+        db.add_table_with(|id| {
+            let schema = TableSchema::new(vec![
+                ColumnDef::new("a", LogicalType::Int),
+                ColumnDef::new("b", LogicalType::Int),
+            ])?;
+            let data: Vec<i64> = (0..200).map(|i| i % 20).collect();
+            Table::new(
+                id,
+                "c",
+                schema,
+                vec![
+                    Column::from_i64(LogicalType::Int, data.clone()),
+                    Column::from_i64(LogicalType::Int, data),
+                ],
+            )
+        })
+        .unwrap();
+        let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
+        let chain = |c: i64| {
+            let mut qb = QueryBuilder::new();
+            let rels: Vec<RelId> = (0..3u32)
+                .map(|t| qb.add_relation(TableId::new(t)))
+                .collect();
+            qb.add_predicate(Predicate::eq(rels[0], ColId::new(0), c));
+            for w in rels.windows(2) {
+                qb.add_join(
+                    ColRef::new(w[0], ColId::new(1)),
+                    ColRef::new(w[1], ColId::new(1)),
+                );
+            }
+            qb.build()
+        };
+        let scan = |r: u32| PhysicalPlan::Scan {
+            rel: RelId::new(r),
+            table: TableId::new(r),
+            access: AccessPath::SeqScan,
+            info: PlanNodeInfo::default(),
+        };
+        let join = |algo, l, r, a: u32, b: u32| PhysicalPlan::Join {
+            algo,
+            left: Box::new(l),
+            right: Box::new(r),
+            keys: vec![(
+                ColRef::new(RelId::new(a), ColId::new(1)),
+                ColRef::new(RelId::new(b), ColId::new(1)),
+            )],
+            info: PlanNodeInfo::default(),
+        };
+        // Four shapes sharing scans and two-way subtrees.
+        let plans = [
+            join(
+                JoinAlgo::Hash,
+                join(JoinAlgo::Hash, scan(0), scan(1), 0, 1),
+                scan(2),
+                1,
+                2,
+            ),
+            join(
+                JoinAlgo::Merge,
+                scan(2),
+                join(JoinAlgo::Merge, scan(1), scan(0), 1, 0),
+                2,
+                1,
+            ),
+            join(
+                JoinAlgo::Hash,
+                scan(0),
+                join(JoinAlgo::Hash, scan(1), scan(2), 1, 2),
+                0,
+                1,
+            ),
+            join(
+                JoinAlgo::NestedLoop,
+                join(JoinAlgo::Hash, scan(2), scan(1), 2, 1),
+                scan(0),
+                1,
+                0,
+            ),
+        ];
+        let shared = SharedSampleRunCache::new();
+        let opts = ValidationOpts {
+            threads: 1,
+            ..Default::default()
+        };
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (mut cache, plans, samples, opts) = (shared.clone(), &plans, &samples, &opts);
+                s.spawn(move || {
+                    for i in 0..60usize {
+                        let q = chain((i % 15) as i64);
+                        let plan = &plans[(t + i) % plans.len()];
+                        let v = validate_plan_cached(&q, plan, samples, opts, &mut cache).unwrap();
+                        let mut nodes = 0;
+                        plan.visit(&mut |_| nodes += 1);
+                        assert_eq!(
+                            v.cache_hits + v.subtrees_executed,
+                            nodes,
+                            "thread {t} run {i}"
+                        );
+                    }
+                });
+            }
+        });
+        assert!(shared.entries() > 0);
     }
 
     #[test]

@@ -51,6 +51,7 @@ use std::time::Duration;
 use reopt_common::{lock_unpoisoned, Error, Result, TableId};
 use reopt_plan::PhysicalPlan;
 use reopt_storage::DataVersion;
+use reopt_telemetry::{names, MetricsRegistry};
 
 /// A cached re-optimization outcome for one query template.
 #[derive(Debug, Clone)]
@@ -227,21 +228,20 @@ pub struct PlanCache {
     capacity: usize,
     /// Logical LRU clock.
     tick: AtomicU64,
-    lru_evictions: AtomicU64,
-    /// Admissions that found a plan validated on a since-redrawn sample
-    /// and handed it out for re-validation, lifetime total.
-    table_evictions: AtomicU64,
+    /// Where LRU evictions are counted
+    /// ([`names::PLAN_CACHE_LRU_EVICTIONS`]).
+    registry: MetricsRegistry,
 }
 
 impl PlanCache {
-    /// Cache holding at most `capacity` plans (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    /// Cache holding at most `capacity` plans (clamped to ≥ 1), counting
+    /// its LRU evictions in `registry`.
+    pub fn new(capacity: usize, registry: MetricsRegistry) -> Self {
         PlanCache {
             slots: Mutex::new(BTreeMap::new()),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
-            lru_evictions: AtomicU64::new(0),
-            table_evictions: AtomicU64::new(0),
+            registry,
         }
     }
 
@@ -267,19 +267,6 @@ impl PlanCache {
     /// True when no plan is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Plans evicted to stay under capacity, lifetime total.
-    pub fn lru_evictions(&self) -> u64 {
-        // lint: relaxed-ok(monotonic telemetry counter; never read to make a control decision, and readers that need a settled value join the writers first)
-        self.lru_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Plans handed out for re-validation because a base table they touch
-    /// had its sample redrawn since they were validated, lifetime total.
-    pub fn table_evictions(&self) -> u64 {
-        // lint: relaxed-ok(monotonic telemetry counter; never read to make a control decision)
-        self.table_evictions.load(Ordering::Relaxed)
     }
 
     /// Admission control for `fingerprint` under the admitting snapshot
@@ -318,8 +305,6 @@ impl PlanCache {
             // instead of each re-validating.
             Freshness::Stale => {
                 let stale = entry.cached.clone();
-                // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the hand-out it counts)
-                self.table_evictions.fetch_add(1, Ordering::Relaxed);
                 Admission::Revalidate {
                     guard: lead(&mut slots),
                     stale,
@@ -378,8 +363,7 @@ impl PlanCache {
             }
             if let Some(&(victim, _)) = ready.iter().min_by_key(|(_, used)| *used) {
                 slots.remove(&victim);
-                // lint: relaxed-ok(telemetry counter bumped under the map lock; the lock orders it with the eviction it counts)
-                self.lru_evictions.fetch_add(1, Ordering::Relaxed);
+                self.registry.add(names::PLAN_CACHE_LRU_EVICTIONS, 1);
             } else {
                 return;
             }
@@ -411,6 +395,10 @@ mod tests {
         }
     }
 
+    fn new_cache(capacity: usize) -> Arc<PlanCache> {
+        Arc::new(PlanCache::new(capacity, MetricsRegistry::new()))
+    }
+
     /// Admission under a snapshot at data version `v` whose every sample
     /// was drawn at `v`.
     fn begin_at(cache: &Arc<PlanCache>, fp: u64, v: u64) -> Admission {
@@ -427,7 +415,7 @@ mod tests {
 
     #[test]
     fn first_arrival_leads_then_hits() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         lead(&cache, 1).complete(Ok(plan(0)));
         match begin_at(&cache, 1, 0) {
             Admission::Hit(c) => assert_eq!(c.rounds, 1),
@@ -438,7 +426,7 @@ mod tests {
 
     #[test]
     fn concurrent_arrivals_wait_for_the_leader() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         let guard = lead(&cache, 7);
         let waiter = match begin_at(&cache, 7, 0) {
             Admission::Wait(f) => f,
@@ -452,7 +440,7 @@ mod tests {
 
     #[test]
     fn failed_leader_frees_the_slot_and_propagates() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         let guard = lead(&cache, 9);
         let waiter = match begin_at(&cache, 9, 0) {
             Admission::Wait(f) => f,
@@ -467,7 +455,7 @@ mod tests {
 
     #[test]
     fn abandoned_leader_publishes_a_retryable_error() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         let guard = lead(&cache, 3);
         let waiter = match begin_at(&cache, 3, 0) {
             Admission::Wait(f) => f,
@@ -481,14 +469,15 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_ready_entry() {
-        let cache = Arc::new(PlanCache::new(2));
+        let registry = MetricsRegistry::new();
+        let cache = Arc::new(PlanCache::new(2, registry.clone()));
         lead(&cache, 1).complete(Ok(plan(1)));
         lead(&cache, 2).complete(Ok(plan(2)));
         // Touch 1 so 2 is the coldest.
         assert!(matches!(begin_at(&cache, 1, 0), Admission::Hit(_)));
         lead(&cache, 3).complete(Ok(plan(3)));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lru_evictions(), 1);
+        assert_eq!(registry.counter(names::PLAN_CACHE_LRU_EVICTIONS), 1);
         assert!(
             matches!(begin_at(&cache, 2, 0), Admission::Lead(_)),
             "2 evicted"
@@ -501,7 +490,7 @@ mod tests {
 
     #[test]
     fn in_flight_slots_are_never_evicted() {
-        let cache = Arc::new(PlanCache::new(1));
+        let cache = new_cache(1);
         let guard = lead(&cache, 10); // in-flight, exempt from capacity
         lead(&cache, 11).complete(Ok(plan(1)));
         lead(&cache, 12).complete(Ok(plan(2))); // evicts 11
@@ -515,7 +504,7 @@ mod tests {
         // A session still on an older snapshot — whose samples differ from
         // the ones the entry was validated on — must be sent back for the
         // newer snapshot, not hand the fresher entry out for re-validation.
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         lead(&cache, 6).complete(Ok(CachedPlan {
             data_version: DataVersion::new(1),
             sampled_at: vec![(TableId::new(0), DataVersion::new(1))],
@@ -523,12 +512,11 @@ mod tests {
         }));
         assert!(matches!(begin_at(&cache, 6, 0), Admission::Behind));
         assert!(matches!(begin_at(&cache, 6, 1), Admission::Hit(_)));
-        assert_eq!(cache.table_evictions(), 0);
     }
 
     #[test]
     fn a_redrawn_sample_revalidates_only_touching_plans() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         lead(&cache, 1).complete(Ok(plan(0))); // touches table 0
         lead(&cache, 2).complete(Ok(plan(1))); // touches table 1
 
@@ -563,7 +551,6 @@ mod tests {
             cache.begin(1, DataVersion::new(3), refreshed),
             Admission::Hit(_)
         ));
-        assert_eq!(cache.table_evictions(), 1);
     }
 
     #[test]
@@ -572,7 +559,7 @@ mod tests {
         // samples; its result lands afterwards. Freshness is a function of
         // the admitting snapshot, so nobody has to mark it: the first
         // post-refresh admission sees it.
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         let guard = lead(&cache, 4);
         guard.complete(Ok(plan(0)));
         assert!(matches!(
@@ -583,7 +570,7 @@ mod tests {
 
     #[test]
     fn a_reader_behind_the_entry_is_sent_back_for_a_newer_snapshot() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         lead(&cache, 4).complete(Ok(CachedPlan {
             data_version: DataVersion::new(2),
             ..plan(0)
@@ -600,12 +587,11 @@ mod tests {
             cache.begin(4, DataVersion::new(2), unmoved),
             Admission::Hit(_)
         ));
-        assert_eq!(cache.table_evictions(), 0);
     }
 
     #[test]
     fn a_table_the_snapshot_never_sampled_reads_as_stale() {
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = new_cache(8);
         lead(&cache, 4).complete(Ok(plan(0)));
         assert!(matches!(
             cache.begin(4, DataVersion::ZERO, |_| None),

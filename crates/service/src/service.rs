@@ -108,8 +108,13 @@ pub struct ServiceResponse {
     pub trace: Option<Arc<QueryTrace>>,
 }
 
-/// Point-in-time service counters. Totals are lifetime;
-/// `submitted == warm_hits + cold_misses + coalesced + errors`.
+/// Point-in-time service counters: a read-only projection of the
+/// service's metrics registry, the same counters
+/// [`QueryService::telemetry_snapshot`] reports. Totals are lifetime. Each
+/// submission ends in exactly one outcome — a warm hit, a cold miss, a
+/// coalesced wait, a re-admitted re-validation or an error — so once every
+/// submission has returned, `submitted == warm_hits + cold_misses +
+/// coalesced + revalidations_saved + errors`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Queries submitted.
@@ -142,7 +147,9 @@ pub struct ServiceStats {
     pub revalidations_saved: u64,
     /// Templates currently cached.
     pub cached_templates: usize,
-    /// Counters of the shared sample dry-run cache.
+    /// Dry runs through the shared sample-run cache: subtrees replayed
+    /// and executed by every re-optimization and re-validation the service
+    /// ran, and the row sets the cache holds now.
     pub sample_cache: SampleCacheStats,
     /// Submission latency distribution (µs): count, mean, max, and
     /// p50/p95/p99 upper bounds from a fixed-bucket log₂ histogram
@@ -213,14 +220,7 @@ pub struct QueryService {
     sample_cache: SharedSampleRunCache,
     exec_opts: ExecOpts,
     next_session: AtomicU64,
-    submitted: AtomicU64,
-    warm_hits: AtomicU64,
-    cold_misses: AtomicU64,
-    coalesced: AtomicU64,
-    reopts_run: AtomicU64,
-    errors: AtomicU64,
-    revalidations: AtomicU64,
-    revalidations_saved: AtomicU64,
+    /// Every lifetime counter of the service, each event counted once.
     pub(crate) registry: MetricsRegistry,
     trace_default: bool,
     pub(crate) drift: DriftConfig,
@@ -234,22 +234,15 @@ impl QueryService {
     pub fn new(engine: ReoptEngine, config: ServiceConfig) -> Result<Self> {
         config.drift.validate()?;
         let baseline = Arc::clone(engine.stats());
+        let registry = MetricsRegistry::new();
         Ok(QueryService {
             live: Mutex::new(Arc::new(Snapshot { engine, baseline })),
             writer: Mutex::new(()),
-            plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
+            plans: Arc::new(PlanCache::new(config.plan_cache_capacity, registry.clone())),
             sample_cache: SharedSampleRunCache::new(),
             exec_opts: config.exec,
             next_session: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            cold_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            reopts_run: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            revalidations: AtomicU64::new(0),
-            revalidations_saved: AtomicU64::new(0),
-            registry: MetricsRegistry::new(),
+            registry,
             // Consult REOPT_TRACE once at construction, never per
             // submission.
             trace_default: config.trace.unwrap_or_else(env_trace_default),
@@ -334,17 +327,13 @@ impl QueryService {
     /// state it was chosen for.
     fn admit(&self, query: &Query, tracer: &Tracer) -> Result<(ServiceResponse, Arc<Snapshot>)> {
         let t0 = Stopwatch::start();
-        // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(names::SERVICE_SUBMITTED, 1);
         let r = self.admit_inner(query, t0, tracer);
         match &r {
             Ok((resp, _)) => self
                 .registry
-                .observe_micros("service.submit_us", micros(resp.latency)),
-            Err(_) => {
-                // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                self.errors.fetch_add(1, Ordering::Relaxed);
-            }
+                .observe_micros(names::SERVICE_SUBMIT_US, micros(resp.latency)),
+            Err(_) => self.registry.add(names::SERVICE_ERRORS, 1),
         }
         r
     }
@@ -377,9 +366,7 @@ impl QueryService {
                 Admission::Hit(cached) => {
                     adm_span.attr_str("source", "warm_hit");
                     drop(adm_span);
-                    // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                    self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                    self.registry.add("service.warm_hits", 1);
+                    self.registry.add(names::SERVICE_WARM_HITS, 1);
                     (cached, PlanSource::WarmHit)
                 }
                 Admission::Wait(flight) => {
@@ -395,9 +382,7 @@ impl QueryService {
                         continue;
                     }
                     drop(adm_span);
-                    // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    self.registry.add("service.coalesced", 1);
+                    self.registry.add(names::SERVICE_COALESCED, 1);
                     (cached, PlanSource::Coalesced)
                 }
                 Admission::Lead(guard) => {
@@ -409,6 +394,7 @@ impl QueryService {
                 Admission::Revalidate { guard, stale } => {
                     adm_span.attr_str("source", "revalidate");
                     drop(adm_span);
+                    self.registry.add(names::PLAN_CACHE_TABLE_EVICTIONS, 1);
                     // Cheapest tier first: one dry run of the stale plan.
                     // On acceptance the plan is re-admitted under the
                     // fresh samples; otherwise (ratio unset, dry-run
@@ -418,9 +404,7 @@ impl QueryService {
                     match self.try_revalidate(query, &snap, &stale, &sub) {
                         Some(cached) => {
                             guard.complete(Ok(cached.clone()));
-                            // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-                            self.revalidations_saved.fetch_add(1, Ordering::Relaxed);
-                            self.registry.add("plan_cache.revalidations_saved", 1);
+                            self.registry.add(names::PLAN_CACHE_REVALIDATIONS_SAVED, 1);
                             (cached, PlanSource::Revalidated)
                         }
                         None => {
@@ -474,8 +458,7 @@ impl QueryService {
         guard: LeadGuard,
         sub: &Tracer,
     ) -> Result<CachedPlan> {
-        // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-        self.reopts_run.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(names::SERVICE_REOPTS_RUN, 1);
         let outcome = snap
             .engine
             .reoptimize_with(query, &self.sample_cache, sub)
@@ -493,9 +476,7 @@ impl QueryService {
             });
         guard.complete(outcome.clone());
         if outcome.is_ok() {
-            // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-            self.cold_misses.fetch_add(1, Ordering::Relaxed);
-            self.registry.add("service.cold_misses", 1);
+            self.registry.add(names::SERVICE_COLD_MISSES, 1);
         }
         outcome
     }
@@ -515,15 +496,14 @@ impl QueryService {
         tracer: &Tracer,
     ) -> Option<CachedPlan> {
         let ratio = self.drift.revalidate_ratio?;
-        // lint: relaxed-ok(monotonic telemetry counter; only read by stats(), never drives a control decision)
-        self.revalidations.fetch_add(1, Ordering::Relaxed);
-        self.registry.add("plan_cache.revalidations", 1);
+        self.registry.add(names::PLAN_CACHE_REVALIDATIONS, 1);
         let mut span = tracer.span(names::SERVICE_REVALIDATE);
         let sub = tracer.under(&span);
-        let cost = snap
+        let (cost, dry_run) = snap
             .engine
             .revalidate_plan(query, &stale.plan, &self.sample_cache, &sub)
             .ok()?;
+        self.record_dry_runs(dry_run.cache_hits, dry_run.subtrees_executed);
         let accepted = cost.is_finite()
             && stale.validated_cost.is_finite()
             && cost <= stale.validated_cost * ratio
@@ -559,6 +539,18 @@ impl QueryService {
         }
         self.registry
             .observe_micros("reopt.time_us", micros(report.reopt_time));
+        self.record_dry_runs(
+            report.total_sample_cache_hits(),
+            report.total_sample_subtrees_executed(),
+        );
+    }
+
+    /// Count dry-run subtrees replayed from and executed past the shared
+    /// sample-run cache.
+    fn record_dry_runs(&self, hits: usize, executed: usize) {
+        self.registry.add(names::SAMPLE_CACHE_HITS, hits as u64);
+        self.registry
+            .add(names::SAMPLE_CACHE_EXECUTED, executed as u64);
     }
 
     /// Submit one query *and run its plan to completion* against the full
@@ -673,60 +665,45 @@ impl QueryService {
         }
     }
 
-    /// Point-in-time counters.
+    /// Point-in-time counters, read back from the metrics registry.
     pub fn stats(&self) -> ServiceStats {
+        let counter = |name| self.registry.counter(name);
         ServiceStats {
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            submitted: self.submitted.load(Ordering::Relaxed),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            cold_misses: self.cold_misses.load(Ordering::Relaxed),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            reopts_run: self.reopts_run.load(Ordering::Relaxed),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            errors: self.errors.load(Ordering::Relaxed),
-            lru_evictions: self.plans.lru_evictions(),
+            submitted: counter(names::SERVICE_SUBMITTED),
+            warm_hits: counter(names::SERVICE_WARM_HITS),
+            cold_misses: counter(names::SERVICE_COLD_MISSES),
+            coalesced: counter(names::SERVICE_COALESCED),
+            reopts_run: counter(names::SERVICE_REOPTS_RUN),
+            errors: counter(names::SERVICE_ERRORS),
+            lru_evictions: counter(names::PLAN_CACHE_LRU_EVICTIONS),
             stale_evictions: 0,
-            table_evictions: self.plans.table_evictions(),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            revalidations: self.revalidations.load(Ordering::Relaxed),
-            // lint: relaxed-ok(point-in-time telemetry snapshot; each counter is independently monotonic and no cross-counter invariant is promised)
-            revalidations_saved: self.revalidations_saved.load(Ordering::Relaxed),
+            table_evictions: counter(names::PLAN_CACHE_TABLE_EVICTIONS),
+            revalidations: counter(names::PLAN_CACHE_REVALIDATIONS),
+            revalidations_saved: counter(names::PLAN_CACHE_REVALIDATIONS_SAVED),
             cached_templates: self.plans.len(),
-            sample_cache: self.sample_cache.stats(),
-            latency: self.registry.latency_summary("service.submit_us"),
+            sample_cache: SampleCacheStats {
+                hits: counter(names::SAMPLE_CACHE_HITS) as usize,
+                executed: counter(names::SAMPLE_CACHE_EXECUTED) as usize,
+                entries: self.sample_cache.entries(),
+            },
+            latency: self.registry.latency_summary(names::SERVICE_SUBMIT_US),
         }
     }
 
-    /// Point-in-time snapshot of the unified metrics registry: counters and
-    /// latency histograms accumulated from served queries (`service.*`,
-    /// `reopt.*`, `exec.*`, `midquery.*`), overlaid with the live service
-    /// and cache counters. Keys are stable and ordered; see the README's
-    /// Telemetry section for the catalog.
+    /// Point-in-time snapshot of the unified metrics registry — the same
+    /// counters [`QueryService::stats`] projects (`service.*`,
+    /// `plan_cache.*`, `sample_cache.*`) plus `reopt.*`, `exec.*`,
+    /// `midquery.*` and `ingest.*` and their latency histograms — with the
+    /// live sizes added as gauges. Keys are stable and ordered; see the
+    /// README's Telemetry section for the catalog.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.registry.snapshot();
-        let s = self.stats();
-        snap.set_counter("service.submitted", s.submitted);
-        snap.set_counter("service.warm_hits", s.warm_hits);
-        snap.set_counter("service.cold_misses", s.cold_misses);
-        snap.set_counter("service.coalesced", s.coalesced);
-        snap.set_counter("service.reopts_run", s.reopts_run);
-        snap.set_counter("service.errors", s.errors);
-        snap.set_counter("plan_cache.lru_evictions", s.lru_evictions);
-        snap.set_counter("plan_cache.table_evictions", s.table_evictions);
-        snap.set_counter("plan_cache.revalidations", s.revalidations);
-        snap.set_counter("plan_cache.revalidations_saved", s.revalidations_saved);
-        snap.set_gauge("plan_cache.templates", s.cached_templates as f64);
+        snap.set_gauge("plan_cache.templates", self.plans.len() as f64);
         snap.set_gauge(
             "service.data_version",
             self.snapshot().data_version().get() as f64,
         );
-        snap.set_counter("sample_cache.hits", s.sample_cache.hits as u64);
-        snap.set_counter("sample_cache.executed", s.sample_cache.executed as u64);
-        snap.set_gauge("sample_cache.entries", s.sample_cache.entries as f64);
+        snap.set_gauge("sample_cache.entries", self.sample_cache.entries() as f64);
         snap
     }
 

@@ -354,7 +354,7 @@ fn every_response_is_explained_by_one_committed_version() {
                 );
             }
             PlanSource::Revalidated => {
-                let cost = engine
+                let (cost, _) = engine
                     .revalidate_plan(
                         query,
                         &r.plan,

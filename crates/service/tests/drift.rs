@@ -178,6 +178,66 @@ fn revalidation_readmits_a_plan_within_the_band() {
 }
 
 #[test]
+fn every_submission_ends_in_exactly_one_outcome() {
+    // A warm hit, a cold miss, a saved re-validation and an invalid-query
+    // error: each is counted once, and a saved re-validation is its own
+    // term of the admission identity.
+    let service = service_with(ServiceConfig {
+        drift: DriftConfig {
+            revalidate_ratio: Some(1e18),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let (q, bad) = {
+        let engine = service.engine();
+        let db = engine.db();
+        // Disconnected join graph: two relations and no join edge.
+        let mut qb = reopt_plan::QueryBuilder::new();
+        qb.add_relation(db.table_by_name("ott_lineitem").unwrap().id());
+        qb.add_relation(db.table_by_name("ott_orders").unwrap().id());
+        (ott_query(db, &[0, 0, 0, 1]).unwrap(), qb.build())
+    };
+    assert_eq!(service.submit(&q).unwrap().source, PlanSource::ColdMiss);
+    assert_eq!(service.submit(&q).unwrap().source, PlanSource::WarmHit);
+    service
+        .append_rows("ott_lineitem", &rows_of(0, 3 * 60 * 12))
+        .unwrap();
+    assert_eq!(service.submit(&q).unwrap().source, PlanSource::Revalidated);
+    assert!(service.submit(&bad).is_err());
+
+    let s = service.stats();
+    assert_eq!(
+        (
+            s.warm_hits,
+            s.cold_misses,
+            s.coalesced,
+            s.revalidations_saved,
+            s.errors
+        ),
+        (1, 1, 0, 1, 1),
+        "{s:?}"
+    );
+    assert_eq!(s.submitted, 4, "{s:?}");
+    assert_eq!(
+        s.submitted,
+        s.warm_hits + s.cold_misses + s.coalesced + s.revalidations_saved + s.errors
+    );
+    // The snapshot is the other view of the same registry.
+    let snap = service.telemetry_snapshot();
+    for (key, value) in [
+        (names::SERVICE_SUBMITTED, s.submitted),
+        (names::SERVICE_WARM_HITS, s.warm_hits),
+        (names::SERVICE_COLD_MISSES, s.cold_misses),
+        (names::PLAN_CACHE_REVALIDATIONS_SAVED, s.revalidations_saved),
+        (names::PLAN_CACHE_TABLE_EVICTIONS, s.table_evictions),
+        (names::SERVICE_ERRORS, s.errors),
+    ] {
+        assert_eq!(snap.counter(key), value, "{key}");
+    }
+}
+
+#[test]
 fn revalidation_rejects_an_out_of_band_cost() {
     // ratio 1.0 accepts only a bit-identical cost; the skew storm moves
     // the validated cost, so the re-validation runs — and then rejects.

@@ -149,14 +149,14 @@ fn refresh_full_revalidates_only_what_it_redrew() {
     for q in &templates {
         assert_eq!(service.submit(q).unwrap().source, PlanSource::ColdMiss);
     }
-    let entries = service.sample_cache().stats().entries;
+    let entries = service.sample_cache().entries();
     assert!(entries > 0, "dry runs populated the shared cache");
 
     service.refresh_full().unwrap();
     for q in &templates {
         assert_eq!(service.submit(q).unwrap().source, PlanSource::WarmHit);
     }
-    assert_eq!(service.sample_cache().stats().entries, entries);
+    assert_eq!(service.sample_cache().entries(), entries);
     assert_eq!(service.stats().table_evictions, 0);
 
     let batch: Vec<_> = (0..60)

@@ -175,7 +175,7 @@ fn untouched_state_survives_a_surgical_refresh_by_pointer() {
         })
         .collect::<Result<_, _>>()
         .unwrap();
-    let entries_before = service.sample_cache().stats().entries;
+    let entries_before = service.sample_cache().entries();
     assert!(entries_before > 0, "dry runs populated the shared cache");
 
     storm(&service);
@@ -218,7 +218,7 @@ fn untouched_state_survives_a_surgical_refresh_by_pointer() {
 
     // Dry-run row sets disjoint from the storm stay current instead of
     // being dropped with it.
-    let entries_after = service.sample_cache().stats().entries;
+    let entries_after = service.sample_cache().entries();
     assert!(
         entries_after > 0,
         "disjoint sample-cache entries must survive the refresh"

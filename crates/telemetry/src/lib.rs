@@ -28,9 +28,12 @@ pub use metrics::{
 };
 pub use span::{env_trace_default, AttrValue, QueryTrace, Span, SpanRecord, Tracer};
 
-/// Canonical span names — the span taxonomy. Every span emitted by the
+/// Canonical span names — the span taxonomy — and the metric keys that
+/// one place writes and another reads back. Every span emitted by the
 /// workspace uses one of these constants so traces are greppable and the
-/// README table stays authoritative.
+/// README table stays authoritative; a key read back by name (e.g. by
+/// `QueryService::stats`) is a constant so a misspelling cannot silently
+/// read 0.
 pub mod names {
     /// `QueryService::submit` root: one per admission.
     pub const SERVICE_SUBMIT: &str = "service.submit";
@@ -85,4 +88,33 @@ pub mod names {
     /// template (attrs: `template`, `cached_cost`, `revalidated_cost`,
     /// `accepted`).
     pub const SERVICE_REVALIDATE: &str = "service.revalidate";
+
+    /// Counter: queries submitted to the service.
+    pub const SERVICE_SUBMITTED: &str = "service.submitted";
+    /// Counter: submissions answered from the plan cache.
+    pub const SERVICE_WARM_HITS: &str = "service.warm_hits";
+    /// Counter: submissions answered by their own re-optimization.
+    pub const SERVICE_COLD_MISSES: &str = "service.cold_misses";
+    /// Counter: submissions answered by another session's in-flight
+    /// re-optimization.
+    pub const SERVICE_COALESCED: &str = "service.coalesced";
+    /// Counter: submissions that returned an error.
+    pub const SERVICE_ERRORS: &str = "service.errors";
+    /// Counter: re-optimization loops the service started.
+    pub const SERVICE_REOPTS_RUN: &str = "service.reopts_run";
+    /// Histogram: submission latency, admission to response (µs).
+    pub const SERVICE_SUBMIT_US: &str = "service.submit_us";
+    /// Counter: cached plans evicted to respect the capacity bound.
+    pub const PLAN_CACHE_LRU_EVICTIONS: &str = "plan_cache.lru_evictions";
+    /// Counter: cached plans handed out for re-validation because a base
+    /// table's sample was redrawn since they were validated.
+    pub const PLAN_CACHE_TABLE_EVICTIONS: &str = "plan_cache.table_evictions";
+    /// Counter: cached-plan re-validations attempted.
+    pub const PLAN_CACHE_REVALIDATIONS: &str = "plan_cache.revalidations";
+    /// Counter: re-validations that re-admitted the cached plan.
+    pub const PLAN_CACHE_REVALIDATIONS_SAVED: &str = "plan_cache.revalidations_saved";
+    /// Counter: dry-run subtrees answered from the shared sample-run cache.
+    pub const SAMPLE_CACHE_HITS: &str = "sample_cache.hits";
+    /// Counter: dry-run subtrees executed fresh over the samples.
+    pub const SAMPLE_CACHE_EXECUTED: &str = "sample_cache.executed";
 }

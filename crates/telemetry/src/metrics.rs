@@ -256,9 +256,9 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
-/// Immutable, ordered snapshot of the whole registry. Callers may fold in
-/// extra values (e.g. atomic counters kept outside the registry) with
-/// [`TelemetrySnapshot::set_counter`] before handing it out.
+/// Immutable, ordered snapshot of the whole registry. Counters come only
+/// from the registry; callers may add point-in-time gauges (sizes, versions)
+/// with [`TelemetrySnapshot::set_gauge`] before handing it out.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -273,10 +273,6 @@ impl TelemetrySnapshot {
 
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    pub fn set_counter(&mut self, name: &str, v: u64) {
-        self.counters.insert(name.to_string(), v);
     }
 
     pub fn set_gauge(&mut self, name: &str, v: f64) {

@@ -302,7 +302,7 @@ fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
         "{label}: replayed loop chose a different plan"
     );
     assert!(
-        shared.stats().hits > 0,
+        warm.total_sample_cache_hits() > 0,
         "{label}: warm loop never hit the dry-run cache"
     );
 

@@ -119,7 +119,10 @@ fn check_execution_invariance(bound: &Bound, query: &reopt::plan::Query, label: 
             cold.node_cards, warm.node_cards,
             "{label}: cached replay trace diverged at threads={threads}"
         );
-        assert!(cache.stats().hits > 0, "{label}: second dry-run never hit");
+        assert!(
+            warm.metrics.cache_hits > 0,
+            "{label}: second dry-run never hit"
+        );
         (cold.rows, cold.node_cards)
     };
     let (base_sample_rows, base_sample_trace) = sample_exec(1);

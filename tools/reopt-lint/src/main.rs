@@ -122,7 +122,7 @@ fn main() -> ExitCode {
         .filter(|v| v.rule == Rule::WaiverSyntax)
         .count();
     if broken_waivers > 0 {
-        eprintln!("reopt-lint: {broken_waivers} malformed waiver(s) — see report");
+        eprintln!("reopt-lint: {broken_waivers} malformed or orphan waiver(s) — see report");
     }
 
     if outcome.passed() {

@@ -4,7 +4,9 @@
 //! the offending line or on the line directly above it. The reason is
 //! mandatory and must be non-empty — an empty or malformed waiver is itself
 //! a (non-baselineable) violation, so every suppression in the tree carries
-//! a written justification.
+//! a written justification. So is an *orphan* waiver, one that suppresses
+//! no finding of its kind: deleted code must not leave its justification
+//! behind.
 
 use crate::lexer::{lex, LexedFile};
 use std::fmt;
@@ -30,7 +32,8 @@ pub enum Rule {
     /// R5: `.lock().unwrap()` — a panicked lock holder cascades into every
     /// later locker. Use `reopt_common::sync::lock_unpoisoned`.
     LockUnwrap,
-    /// Malformed waiver: unknown kind or empty reason. Never baselineable.
+    /// Malformed waiver (unknown kind or empty reason) or orphan waiver
+    /// (suppresses no finding). Never baselineable.
     WaiverSyntax,
 }
 
@@ -213,7 +216,9 @@ pub fn lint_source(rel_path: &str, crate_name: &str, source: &str) -> Vec<Violat
     let mut out = Vec::new();
 
     // Waiver syntax is checked everywhere, including test code: a broken
-    // waiver anywhere is a lie waiting to migrate.
+    // waiver anywhere is a lie waiting to migrate. Well-formed waivers are
+    // kept, with their comment, to be matched against the findings.
+    let mut waivers: Vec<(Waiver, String)> = Vec::new();
     for (idx, l) in lexed.lines.iter().enumerate() {
         for w in parse_waivers(&l.comment, idx + 1) {
             if !KNOWN_KINDS.contains(&w.kind.as_str()) {
@@ -239,33 +244,18 @@ pub fn lint_source(rel_path: &str, crate_name: &str, source: &str) -> Vec<Violat
                         w.kind
                     ),
                 });
+            } else {
+                waivers.push((w, l.comment.trim().to_string()));
             }
         }
     }
 
-    let waived = |rule: Rule, line_idx: usize| -> bool {
-        let Some(kind) = rule.waiver_kind() else {
-            return false;
-        };
-        let has = |i: usize| {
-            lexed.lines.get(i).is_some_and(|l| {
-                parse_waivers(&l.comment, i + 1)
-                    .iter()
-                    .any(|w| w.kind == kind && !w.reason.is_empty())
-            })
-        };
-        has(line_idx) || (line_idx > 0 && has(line_idx - 1))
-    };
-
+    // Findings of every rule that applies here, before waivers:
+    // (rule, 0-based line, excerpt, message).
+    let mut findings: Vec<(Rule, usize, String, String)> = Vec::new();
     let mut push = |rule: Rule, line_idx: usize, excerpt: &str, message: String| {
-        if rule.applies_to(crate_name) && !waived(rule, line_idx) {
-            out.push(Violation {
-                file: rel_path.to_string(),
-                line: line_idx + 1,
-                rule,
-                excerpt: excerpt.trim().to_string(),
-                message,
-            });
+        if rule.applies_to(crate_name) {
+            findings.push((rule, line_idx, excerpt.trim().to_string(), message));
         }
     };
 
@@ -383,6 +373,45 @@ pub fn lint_source(rel_path: &str, crate_name: &str, source: &str) -> Vec<Violat
                     );
                 }
             }
+        }
+    }
+
+    // A waiver suppresses findings of its kind on its own line and the
+    // next; one that suppresses none is an orphan.
+    let mut used = vec![false; waivers.len()];
+    for (rule, line_idx, excerpt, message) in findings {
+        let line = line_idx + 1;
+        let mut waived = false;
+        for ((w, _), used) in waivers.iter().zip(used.iter_mut()) {
+            if Some(w.kind.as_str()) == rule.waiver_kind() && (w.line == line || w.line + 1 == line)
+            {
+                *used = true;
+                waived = true;
+            }
+        }
+        if !waived {
+            out.push(Violation {
+                file: rel_path.to_string(),
+                line,
+                rule,
+                excerpt,
+                message,
+            });
+        }
+    }
+    for ((w, comment), used) in waivers.into_iter().zip(used) {
+        if !used {
+            out.push(Violation {
+                file: rel_path.to_string(),
+                line: w.line,
+                rule: Rule::WaiverSyntax,
+                excerpt: comment,
+                message: format!(
+                    "orphan waiver: `{}` suppresses no finding on this line or the next — \
+                     delete it along with the code it justified",
+                    w.kind
+                ),
+            });
         }
     }
     out
@@ -601,5 +630,54 @@ fn trailing_ident(expr: &str) -> Option<String> {
         None
     } else {
         Some(name.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rules_of(crate_name: &str, src: &str) -> Vec<(Rule, usize)> {
+        lint_source("x.rs", crate_name, src)
+            .iter()
+            .map(|v| (v.rule, v.line))
+            .collect()
+    }
+
+    #[test]
+    fn a_waiver_that_suppresses_nothing_is_an_orphan() {
+        // Its code was deleted: the justification must go with it.
+        let src = "fn f() {\n    // lint: relaxed-ok(telemetry counter)\n    let x = 1;\n}\n";
+        assert_eq!(rules_of("service", src), vec![(Rule::WaiverSyntax, 2)]);
+        // Same line or the one below: both consume the waiver.
+        let above = "fn f(c: &AtomicU64) -> u64 {\n    // lint: relaxed-ok(telemetry)\n    c.load(Ordering::Relaxed)\n}\n";
+        let inline = "fn f(c: &AtomicU64) -> u64 {\n    c.load(Ordering::Relaxed) // lint: relaxed-ok(telemetry)\n}\n";
+        assert!(rules_of("service", above).is_empty());
+        assert!(rules_of("service", inline).is_empty());
+        // Two lines above is out of reach: an orphan and an unwaived
+        // finding.
+        let far = "fn f(c: &AtomicU64) -> u64 {\n    // lint: relaxed-ok(telemetry)\n\n    c.load(Ordering::Relaxed)\n}\n";
+        let mut found = rules_of("service", far);
+        found.sort();
+        assert_eq!(
+            found,
+            vec![(Rule::RelaxedOrdering, 4), (Rule::WaiverSyntax, 2)]
+        );
+    }
+
+    #[test]
+    fn a_waiver_of_another_kind_or_an_exempt_site_is_an_orphan() {
+        // Wrong kind for the finding beside it.
+        let src =
+            "fn f(x: Option<u64>) -> u64 {\n    x.unwrap() // lint: clock-ok(not a clock)\n}\n";
+        let mut found = rules_of("plan", src);
+        found.sort();
+        assert_eq!(found, vec![(Rule::Panic, 2), (Rule::WaiverSyntax, 2)]);
+        // A rule the crate is exempt from, or test code, has nothing to
+        // suppress.
+        let bench = "fn f(x: Option<u64>) -> u64 {\n    x.unwrap() // lint: panic-ok(setup)\n}\n";
+        assert_eq!(rules_of("bench", bench), vec![(Rule::WaiverSyntax, 2)]);
+        let test = "#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); } // lint: panic-ok(test)\n}\n";
+        assert_eq!(rules_of("plan", test), vec![(Rule::WaiverSyntax, 3)]);
     }
 }
