@@ -19,6 +19,19 @@
 //! where `CheckpointStore`, `SubtreeCache` and the observed-cardinality
 //! trace live.
 //!
+//! The index-nested-loop join is a batch operator too. It takes its outer
+//! input in windows of [`BATCH_SIZE`] rows, and each window runs in two
+//! phases. First every non-NULL outer key of the window is looked up in
+//! the inner table's index, before any candidate is touched, so the
+//! independent lookups overlap their cache misses. Then the posting lists
+//! expand, in outer-row then posting order, into candidate windows of at
+//! most `BATCH_SIZE` paired (outer position, inner row) selection vectors
+//! — a list that overflows one continues in the next — and each candidate
+//! window is compacted in place, column at a time, by every residual key
+//! equality and then every inner local predicate. The intermediate-row cap
+//! is checked once per candidate window, so a join overshoots it by at
+//! most one window before it aborts.
+//!
 //! # Intra-query parallelism
 //!
 //! [`ExecOpts::threads`] turns on partition-parallel execution of the two
@@ -818,6 +831,10 @@ impl<'a> Executor<'a> {
         RowSet::combine(left, right, &pairs)
     }
 
+    /// Batch-at-a-time index-nested-loop join over windows of
+    /// [`BATCH_SIZE`] outer rows (see the module docs). Candidate windows
+    /// are the tails of the output vectors themselves, so no pair vector
+    /// and no [`RowSet::combine`] copy is built.
     fn exec_index_nested(
         &self,
         query: &Query,
@@ -836,9 +853,6 @@ impl<'a> Executor<'a> {
                 "index nested loop join requires a base-table scan inner",
             ));
         };
-        if keys.is_empty() {
-            return Err(Error::internal("index nested loop join without keys"));
-        }
         let table = self.db.table(*inner_table)?;
         let compiled = compile_predicates(table, query.local_predicates(*inner_rel))?;
 
@@ -855,57 +869,104 @@ impl<'a> Executor<'a> {
             }
         }
         // The first key drives the index probe; the rest are residuals.
-        let probe_col = inner_cols[0].col;
-        let index = table.index(probe_col).ok_or_else(|| {
+        let outer_keys = self.gather_keys(query, outer, &outer_cols)?;
+        let (Some((probe_keys, outer_residuals)), Some((probe_col, inner_residuals))) =
+            (outer_keys.split_first(), inner_cols.split_first())
+        else {
+            return Err(Error::internal("index nested loop join without keys"));
+        };
+        let index = table.index(probe_col.col).ok_or_else(|| {
             Error::internal(format!(
-                "index nested loop join: column {probe_col} of table `{}` is not indexed",
+                "index nested loop join: column {} of table `{}` is not indexed",
+                probe_col.col,
                 table.name()
             ))
         })?;
-
-        let outer_keys = self.gather_keys(query, outer, &outer_cols)?;
-        let inner_residual_cols: Vec<&[i64]> = inner_cols
+        let residuals: Vec<(&[i64], &[i64])> = outer_residuals
             .iter()
-            .skip(1)
-            .map(|c| table.column(c.col).map(|col| col.data()))
+            .zip(inner_residuals)
+            .map(|(o, c)| Ok((o.as_slice(), table.column(c.col)?.data())))
             .collect::<Result<_>>()?;
 
         let cap = self.opts.max_intermediate_rows;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        // The paired output columns: outer positions (freed once the
+        // outer side is selected) and inner rows (moved into the result).
+        let mut positions: Vec<u32> = Vec::new();
         let mut inner_rows: Vec<u32> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..outer.len() {
-            let probe = outer_keys[0][i];
-            if probe == NULL_SENTINEL {
-                continue;
+        let mut lists: Vec<(u32, &[u32])> = Vec::with_capacity(outer.len().min(BATCH_SIZE));
+        for (w, window) in probe_keys.chunks(BATCH_SIZE).enumerate() {
+            // 1. Every posting list of the window before any candidate.
+            let base = (w * BATCH_SIZE) as u32;
+            lists.clear();
+            for (k, &key) in window.iter().enumerate() {
+                if key != NULL_SENTINEL {
+                    metrics.index_probes += 1;
+                    let list = index.probe(key);
+                    if !list.is_empty() {
+                        lists.push((base + k as u32, list));
+                    }
+                }
             }
-            metrics.index_probes += 1;
-            'cand: for &row in index.probe(probe) {
-                // Residual key equalities.
-                for (k, col) in inner_residual_cols.iter().enumerate() {
-                    let ov = outer_keys[k + 1][i];
-                    let iv = col[row as usize];
-                    if ov == NULL_SENTINEL || iv == NULL_SENTINEL || ov != iv {
-                        continue 'cand;
+            let (mut li, mut off) = (0, 0);
+            while li < lists.len() {
+                // 2. Expand into a candidate window in outer-row, then
+                // posting order; a list that overflows it continues in the
+                // next one.
+                let start = inner_rows.len();
+                while li < lists.len() && inner_rows.len() - start < BATCH_SIZE {
+                    let (pos, list) = lists[li];
+                    let take = (BATCH_SIZE - (inner_rows.len() - start)).min(list.len() - off);
+                    inner_rows.extend_from_slice(&list[off..off + take]);
+                    positions.resize(positions.len() + take, pos);
+                    off += take;
+                    if off == list.len() {
+                        (li, off) = (li + 1, 0);
                     }
                 }
-                // Inner local predicates.
+                // 3. Column-at-a-time: residual key equalities, then the
+                // inner local predicates.
+                for &(outer_col, inner_col) in &residuals {
+                    retain_pairs(&mut positions, &mut inner_rows, start, |p, r| {
+                        let v = outer_col[p as usize];
+                        v != NULL_SENTINEL && v == inner_col[r as usize]
+                    });
+                }
                 for p in &compiled {
-                    if !p.matches(row) {
-                        continue 'cand;
-                    }
+                    p.refine_pairs(&mut positions, &mut inner_rows, start);
                 }
-                pairs.push((i as u32, inner_rows.len() as u32));
-                inner_rows.push(row);
-                // Per-emission, not per-outer-row: unlike the other joins
-                // the inner side here is a raw base table, so one outer
-                // row's index bucket is unbounded by any prior cap check.
-                check_probe_cap(pairs.len() as u64, cap)?;
+                // 4. One cap check per window: the overshoot is at most one
+                // window, and the inner side here is a raw base table whose
+                // posting lists no earlier cap check has bounded.
+                check_probe_cap(inner_rows.len() as u64, cap)?;
             }
         }
-        let inner_set = RowSet::single(*inner_rel, inner_rows);
-        RowSet::combine(outer, &inner_set, &pairs)
+        inner_rows.shrink_to_fit();
+        outer
+            .select(&positions)
+            .with_relation(*inner_rel, inner_rows)
     }
+}
+
+/// Compact the paired candidate vectors' tail `start..` in place, keeping
+/// the `(outer position, inner row)` pairs `keep` accepts, in order.
+#[inline]
+fn retain_pairs(
+    positions: &mut Vec<u32>,
+    rows: &mut Vec<u32>,
+    start: usize,
+    mut keep: impl FnMut(u32, u32) -> bool,
+) {
+    let n = rows.len();
+    let pos = &mut positions[..n];
+    let mut w = start;
+    for r in start..n {
+        let (p, row) = (pos[r], rows[r]);
+        pos[w] = p;
+        rows[w] = row;
+        w += usize::from(keep(p, row));
+    }
+    positions.truncate(w);
+    rows.truncate(w);
 }
 
 /// Incremental intermediate-row cap check, shared by every join's probe
@@ -1155,6 +1216,46 @@ struct ExecState<'c> {
     tracer: Tracer,
 }
 
+/// Evaluate `$body` with `$pred` bound to the comparison `op` against the
+/// constants `c1`/`c2` as a monomorphized `Fn(i64) -> bool`: the operator
+/// is matched once per call, so a kernel's inner loop is a branch-free
+/// compare instead of per-row dispatch.
+macro_rules! with_cmp {
+    ($op:expr, $c1:expr, $c2:expr, |$pred:ident| $body:expr) => {{
+        let (c1, c2): (i64, i64) = ($c1, $c2);
+        match $op {
+            CmpOp::Eq => {
+                let $pred = |v: i64| v == c1;
+                $body
+            }
+            CmpOp::Ne => {
+                let $pred = |v: i64| v != c1;
+                $body
+            }
+            CmpOp::Lt => {
+                let $pred = |v: i64| v < c1;
+                $body
+            }
+            CmpOp::Le => {
+                let $pred = |v: i64| v <= c1;
+                $body
+            }
+            CmpOp::Gt => {
+                let $pred = |v: i64| v > c1;
+                $body
+            }
+            CmpOp::Ge => {
+                let $pred = |v: i64| v >= c1;
+                $body
+            }
+            CmpOp::Between => {
+                let $pred = |v: i64| v >= c1 && v <= c2;
+                $body
+            }
+        }
+    }};
+}
+
 /// A predicate with its constants encoded against the target table.
 pub(crate) struct CompiledPred<'a> {
     col: ColId,
@@ -1184,25 +1285,13 @@ impl CompiledPred<'_> {
     }
 
     /// Seed `sel` with the rows of `start..end` this predicate selects.
-    /// The `match` on the operator happens once per batch; each arm hands
-    /// [`ColumnBatch::filter_into`] a monomorphized closure, so the inner
-    /// loop is a branch-free compare instead of per-row dispatch.
     #[inline]
     fn filter_batch(&self, start: u32, end: u32, sel: &mut Vec<u32>) {
         let Some(c1) = self.c1 else {
             return; // dictionary miss: matches nothing
         };
-        let c2 = self.c2;
         let batch = ColumnBatch::new(&self.data[start as usize..end as usize], start);
-        match self.op {
-            CmpOp::Eq => batch.filter_into(sel, |v| v == c1),
-            CmpOp::Ne => batch.filter_into(sel, |v| v != c1),
-            CmpOp::Lt => batch.filter_into(sel, |v| v < c1),
-            CmpOp::Le => batch.filter_into(sel, |v| v <= c1),
-            CmpOp::Gt => batch.filter_into(sel, |v| v > c1),
-            CmpOp::Ge => batch.filter_into(sel, |v| v >= c1),
-            CmpOp::Between => batch.filter_into(sel, |v| v >= c1 && v <= c2),
-        }
+        with_cmp!(self.op, c1, self.c2, |pred| batch.filter_into(sel, pred))
     }
 
     /// Narrow an existing selection (ids within `start..end`) in place.
@@ -1212,17 +1301,29 @@ impl CompiledPred<'_> {
             sel.clear();
             return;
         };
-        let c2 = self.c2;
         let batch = ColumnBatch::new(&self.data[start as usize..end as usize], start);
-        match self.op {
-            CmpOp::Eq => batch.refine(sel, |v| v == c1),
-            CmpOp::Ne => batch.refine(sel, |v| v != c1),
-            CmpOp::Lt => batch.refine(sel, |v| v < c1),
-            CmpOp::Le => batch.refine(sel, |v| v <= c1),
-            CmpOp::Gt => batch.refine(sel, |v| v > c1),
-            CmpOp::Ge => batch.refine(sel, |v| v >= c1),
-            CmpOp::Between => batch.refine(sel, |v| v >= c1 && v <= c2),
-        }
+        with_cmp!(self.op, c1, self.c2, |pred| batch.refine(sel, pred))
+    }
+
+    /// Narrow the paired candidate tail `start..` of an index-nested join
+    /// to the pairs whose inner row this predicate selects.
+    #[inline]
+    fn refine_pairs(&self, positions: &mut Vec<u32>, rows: &mut Vec<u32>, start: usize) {
+        let Some(c1) = self.c1 else {
+            positions.truncate(start);
+            rows.truncate(start);
+            return;
+        };
+        let data = self.data;
+        with_cmp!(self.op, c1, self.c2, |pred| retain_pairs(
+            positions,
+            rows,
+            start,
+            |_, r| {
+                let v = data[r as usize];
+                v != NULL_SENTINEL && pred(v)
+            }
+        ))
     }
 }
 
@@ -1764,8 +1865,9 @@ mod tests {
     fn incremental_cap_aborts_cross_product_joins_early() {
         // Every key identical on both sides: a 3000×3000 cross product
         // (9M pairs). With a 10k cap the probe loop must abort without
-        // materializing the output — at no point may the pair buffer grow
-        // past cap + one bucket (serial) / cap + threads·bucket (parallel).
+        // materializing the output — at no point may the output grow past
+        // cap + one bucket (hash, serial) / cap + threads·bucket (hash,
+        // parallel) / cap + one window (index-nested).
         // 3000 + 3000 input rows crosses PARALLEL_MIN_ROWS, so the
         // threads=4 leg exercises the partitioned join's shared atomic
         // emission counter, not the serial per-push check.
@@ -1791,8 +1893,8 @@ mod tests {
         qb.add_join(ColRef::new(a, ColId::new(0)), ColRef::new(b, ColId::new(0)));
         let q = qb.build();
         // IndexNested included: its inner is a raw indexed base table, so
-        // the key-7 bucket alone (3000 rows per outer row) must trip the
-        // per-emission check, not a post-materialization one.
+        // the key-7 posting list alone (3000 rows per outer row) must trip
+        // the per-window check, not a post-materialization one.
         for algo in [
             JoinAlgo::Hash,
             JoinAlgo::Merge,
@@ -2055,6 +2157,153 @@ mod tests {
                     if algo == JoinAlgo::Hash {
                         // 3000 + 3000 inputs cross PARALLEL_MIN_ROWS.
                         assert_eq!(run.metrics.parallel_ops > 0, threads > 1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The index-nested join's window edges against the reference: a
+    /// posting list longer than a window (split across candidate windows)
+    /// under outer windows that straddle it, every comparison operator and
+    /// a dictionary miss as inner predicates, NULLs in an inner predicate
+    /// column, a residual key and the outer keys, and an empty outer input.
+    #[test]
+    fn index_nested_window_edges_match_reference() {
+        let (n_outer, n_inner) = (2500i64, 3000i64);
+        let mut db = Database::new();
+        db.add_table_with(|id| {
+            let schema = TableSchema::new(vec![
+                ColumnDef::new("k", LogicalType::Int),
+                ColumnDef::new("r", LogicalType::Int),
+            ])?;
+            let k = (0..n_outer)
+                .map(|i| if i % 13 == 0 { NULL_SENTINEL } else { i % 60 })
+                .collect();
+            let r = (0..n_outer)
+                .map(|i| if i % 17 == 0 { NULL_SENTINEL } else { i % 3 })
+                .collect();
+            Table::new(
+                id,
+                "wo",
+                schema,
+                vec![
+                    Column::from_i64(LogicalType::Int, k),
+                    Column::from_i64(LogicalType::Int, r),
+                ],
+            )
+        })
+        .unwrap();
+        db.add_table_with(|id| {
+            let schema = TableSchema::new(vec![
+                ColumnDef::new("k", LogicalType::Int),
+                ColumnDef::new("r", LogicalType::Int),
+                ColumnDef::new("x", LogicalType::Int),
+                ColumnDef::new("tag", LogicalType::Dict),
+            ])?;
+            // Key 0 owns the first 1500 rows: one posting list longer than
+            // a window. Keys 51..59 of the outer side find no list at all.
+            let k = (0..n_inner)
+                .map(|j| if j < 1500 { 0 } else { j % 50 + 1 })
+                .collect();
+            let r = (0..n_inner)
+                .map(|j| if j % 11 == 0 { NULL_SENTINEL } else { j % 3 })
+                .collect();
+            let x = (0..n_inner)
+                .map(|j| if j % 7 == 0 { NULL_SENTINEL } else { j % 100 })
+                .collect();
+            let tags: Vec<&str> = (0..n_inner as usize)
+                .map(|j| ["a", "b", "c"][j % 3])
+                .collect();
+            let mut t = Table::new(
+                id,
+                "wi",
+                schema,
+                vec![
+                    Column::from_i64(LogicalType::Int, k),
+                    Column::from_i64(LogicalType::Int, r),
+                    Column::from_i64(LogicalType::Int, x),
+                    Column::from_strings(&tags),
+                ],
+            )?;
+            t.create_index(ColId::new(0))?;
+            Ok(t)
+        })
+        .unwrap();
+        let (o, i) = (RelId::new(0), RelId::new(1));
+        let x = ColId::new(2);
+        let tag = ColId::new(3);
+        let preds: Vec<Vec<Predicate>> = vec![
+            vec![],
+            vec![Predicate::eq(i, x, 42i64)],
+            vec![Predicate::ne(i, x, 42i64)],
+            vec![Predicate::lt(i, x, 30i64)],
+            vec![Predicate::le(i, x, 30i64)],
+            vec![Predicate::gt(i, x, 70i64)],
+            vec![Predicate::ge(i, x, 70i64)],
+            vec![Predicate::between(i, x, 20i64, 60i64)],
+            vec![Predicate::eq(i, tag, "b"), Predicate::ge(i, x, 10i64)],
+            vec![Predicate::eq(i, tag, "zzz")],
+        ];
+        let col = |rel: RelId, c: u32| ColRef::new(rel, ColId::new(c));
+        let single = vec![(col(o, 0), col(i, 0))];
+        let residual = vec![(col(o, 0), col(i, 0)), (col(o, 1), col(i, 1))];
+        for keys in [single, residual] {
+            for (case, inner_preds) in preds.iter().enumerate() {
+                // The last outer variant selects nothing: an empty input.
+                for empty_outer in [false, true] {
+                    let mut qb = QueryBuilder::new();
+                    let a = qb.add_relation(TableId::new(0));
+                    let b = qb.add_relation(TableId::new(1));
+                    for (l, r) in &keys {
+                        qb.add_join(ColRef::new(a, l.col), ColRef::new(b, r.col));
+                    }
+                    for p in inner_preds {
+                        qb.add_predicate(p.clone());
+                    }
+                    if empty_outer {
+                        qb.add_predicate(Predicate::eq(a, ColId::new(0), 999i64));
+                    }
+                    let q = qb.build();
+                    let p = join(
+                        JoinAlgo::IndexNested,
+                        scan(0, 0, AccessPath::SeqScan),
+                        scan(1, 1, AccessPath::SeqScan),
+                        keys.clone(),
+                    );
+                    let oracle = crate::reference::join_rows(&db, &q, &p).unwrap();
+                    let outer =
+                        crate::reference::join_rows(&db, &q, &scan(0, 0, AccessPath::SeqScan))
+                            .unwrap();
+                    let outer_keys: Vec<i64> = {
+                        let data = db
+                            .table(TableId::new(0))
+                            .unwrap()
+                            .column(ColId::new(0))
+                            .unwrap()
+                            .data();
+                        outer
+                            .rowids(o)
+                            .unwrap()
+                            .iter()
+                            .map(|&r| data[r as usize])
+                            .filter(|&v| v != NULL_SENTINEL)
+                            .collect()
+                    };
+                    assert_eq!(outer.is_empty(), empty_outer);
+                    let dict_miss = case == preds.len() - 1;
+                    assert_eq!(oracle.is_empty(), empty_outer || dict_miss, "case={case}");
+                    for threads in [1usize, 4] {
+                        let run = Executor::with_opts(&db, ExecOpts::with_threads(threads))
+                            .run_pipeline(&q, &p, None)
+                            .unwrap();
+                        let ctx = format!(
+                            "keys={} case={case} empty={empty_outer} threads={threads}",
+                            keys.len()
+                        );
+                        assert_eq!(oracle.len(), run.rows.len(), "{ctx}");
+                        assert_rowsets_identical(&oracle, &run.rows);
+                        assert_eq!(run.metrics.index_probes, outer_keys.len() as u64, "{ctx}");
                     }
                 }
             }

@@ -92,6 +92,20 @@ impl RowSet {
         RowSet::new(rels, cols)
     }
 
+    /// Append `rows` as the row-id column of `rel`, a relation this set
+    /// does not cover yet. The column is moved in, not copied.
+    pub fn with_relation(mut self, rel: RelId, rows: Vec<u32>) -> Result<RowSet> {
+        if self.rels.contains(&rel) {
+            return Err(Error::internal("joining overlapping rowsets"));
+        }
+        if rows.len() != self.len {
+            return Err(Error::internal("rowset: ragged rowid columns"));
+        }
+        self.rels.push(rel);
+        self.cols.push(rows);
+        Ok(self)
+    }
+
     /// Keep only the tuples at `positions` (selection after the fact).
     pub fn select(&self, positions: &[u32]) -> RowSet {
         let cols = self
@@ -159,6 +173,16 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out.rowids(r(0)).unwrap(), &[3, 1]);
         assert_eq!(out.rowids(r(1)).unwrap(), &[6, 4]);
+    }
+
+    #[test]
+    fn with_relation_appends_a_disjoint_column() {
+        let rs = RowSet::new(vec![r(0), r(1)], vec![vec![1, 2], vec![3, 4]]).unwrap();
+        let out = rs.clone().with_relation(r(2), vec![8, 9]).unwrap();
+        assert_eq!(out.rels(), &[r(0), r(1), r(2)]);
+        assert_eq!(out.rowids(r(2)).unwrap(), &[8, 9]);
+        assert!(rs.clone().with_relation(r(1), vec![8, 9]).is_err());
+        assert!(rs.with_relation(r(2), vec![8]).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! * **Drop-recorded.** A [`Span`] records itself when dropped, so early
 //!   returns and `?` propagation still produce closed spans.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -300,6 +301,46 @@ impl QueryTrace {
         self.spans.iter().filter(|s| s.parent == 0)
     }
 
+    /// Add the self time, in microseconds, of every span `label` names to
+    /// `into` under that label. A span's self time is its duration minus
+    /// the interval union of its children's spans (the children of a
+    /// partition-parallel operator overlap, hence the union). Spans
+    /// `label` maps to `None` are skipped, but still cover their parent.
+    pub fn fold_self_time<K: Ord>(
+        &self,
+        into: &mut BTreeMap<K, u64>,
+        mut label: impl FnMut(&SpanRecord) -> Option<K>,
+    ) {
+        let mut children: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+        for s in &self.spans {
+            if s.parent != 0 {
+                children
+                    .entry(s.parent)
+                    .or_default()
+                    .push((s.start_us, s.start_us + s.dur_us));
+            }
+        }
+        for s in &self.spans {
+            let Some(key) = label(s) else {
+                continue;
+            };
+            let (lo, hi) = (s.start_us, s.start_us + s.dur_us);
+            let mut covered = 0;
+            if let Some(kids) = children.get_mut(&s.id) {
+                kids.sort_unstable();
+                let mut cursor = lo;
+                for &(a, b) in kids.iter() {
+                    let (a, b) = (a.max(cursor), b.min(hi));
+                    if b > a {
+                        covered += b - a;
+                        cursor = b;
+                    }
+                }
+            }
+            *into.entry(key).or_default() += s.dur_us - covered;
+        }
+    }
+
     /// Indented text rendering of the span tree, one span per line:
     /// `name  dur_us=N  key=value ...`
     pub fn render_tree(&self) -> String {
@@ -414,6 +455,37 @@ mod tests {
         let tree = t.finish().render_tree();
         assert!(tree.contains("a  dur_us="));
         assert!(tree.contains("\n  b  dur_us="));
+    }
+
+    #[test]
+    fn self_time_subtracts_the_union_of_overlapping_children() {
+        let rec = |id, parent, name, start_us, dur_us| SpanRecord {
+            id,
+            parent,
+            name,
+            start_us,
+            dur_us,
+            attrs: Vec::new(),
+        };
+        // Two workers overlap on 20..40 under a 0..100 root; a third child
+        // runs past the root's end and is clipped to it.
+        let trace = QueryTrace {
+            spans: vec![
+                rec(1, 0, "root", 0, 100),
+                rec(2, 1, "w", 10, 30),
+                rec(3, 1, "w", 20, 30),
+                rec(4, 1, "tail", 90, 20),
+            ],
+        };
+        let mut all = BTreeMap::new();
+        trace.fold_self_time(&mut all, |s| Some(s.name));
+        assert_eq!(all["root"], 100 - 40 - 10);
+        assert_eq!(all["w"], 60);
+        assert_eq!(all["tail"], 20);
+        // Unlabelled children still cover their parent.
+        let mut roots = BTreeMap::new();
+        trace.fold_self_time(&mut roots, |s| (s.parent == 0).then_some(s.name));
+        assert_eq!(roots.into_iter().collect::<Vec<_>>(), [("root", 50)]);
     }
 
     #[test]
