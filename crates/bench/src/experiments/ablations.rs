@@ -11,6 +11,8 @@
 //!    cardinalities, which repairs correlated *local* conjunctions at the
 //!    leaves.
 
+use std::sync::Arc;
+
 use crate::harness::{fmt_ms, Runner, RunnerConfig, TextTable};
 use reopt_common::rng::derive_rng_indexed;
 use reopt_common::Result;
@@ -28,7 +30,7 @@ fn sampling_ratio_sweep(quick: bool) -> Result<TextTable> {
         rows_per_value: if quick { 10 } else { 20 },
         ..Default::default()
     };
-    let db = build_ott_database(&config)?;
+    let db = Arc::new(build_ott_database(&config)?);
     let mut t = TextTable::new(
         "Ablation 1 — sampling ratio vs OTT repair quality (paper fixes 5% at ~100 rows/value; the effective statistic is sampled rows per value group)",
         &["ratio", "rows/group", "queries fixed", "worst final", "mean overhead"],
@@ -71,10 +73,10 @@ fn sampling_ratio_sweep(quick: bool) -> Result<TextTable> {
 
 /// Left-deep vs bushy search on the TPC-H templates.
 fn search_space_ablation(quick: bool) -> Result<TextTable> {
-    let db = build_tpch_database(&TpchConfig {
+    let db = Arc::new(build_tpch_database(&TpchConfig {
         scale: if quick { 0.005 } else { 0.02 },
         ..Default::default()
-    })?;
+    })?);
     let bushy = Runner::new(
         &db,
         OptimizerConfig::postgres_like(),
@@ -108,10 +110,10 @@ fn search_space_ablation(quick: bool) -> Result<TextTable> {
 
 /// Leaf validation on/off for the hard TPC-H templates.
 fn leaf_validation_ablation(quick: bool) -> Result<TextTable> {
-    let db = build_tpch_database(&TpchConfig {
+    let db = Arc::new(build_tpch_database(&TpchConfig {
         scale: if quick { 0.005 } else { 0.02 },
         ..Default::default()
-    })?;
+    })?);
     let joins_only = Runner::new(
         &db,
         OptimizerConfig::postgres_like(),

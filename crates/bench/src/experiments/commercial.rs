@@ -6,6 +6,8 @@
 //! to substantiate the paper's speculation that "commercial systems could
 //! also benefit from our re-optimization technique".
 
+use std::sync::Arc;
+
 use crate::harness::{fmt_ms, Runner, RunnerConfig, TextTable};
 use reopt_common::Result;
 use reopt_optimizer::SystemProfile;
@@ -19,7 +21,7 @@ pub fn run(quick: bool) -> Result<Vec<TextTable>> {
         rows_per_value: if quick { 10 } else { 20 },
         ..Default::default()
     };
-    let db = build_ott_database(&config)?;
+    let db = Arc::new(build_ott_database(&config)?);
     let runner_config = RunnerConfig {
         sample_ratio: recommended_sample_ratio(&config),
         ..Default::default()

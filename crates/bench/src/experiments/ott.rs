@@ -6,6 +6,8 @@
 //! absolute numbers shrink but the orders-of-magnitude gap and the
 //! all-queries-fixed pattern are the reproduction targets.
 
+use std::sync::Arc;
+
 use crate::harness::{fmt_ms, Runner, RunnerConfig, TextTable};
 use reopt_common::Result;
 use reopt_optimizer::{calibrate, OptimizerConfig};
@@ -21,7 +23,7 @@ pub struct OttSuiteResult {
 }
 
 /// Run one OTT suite against a runner.
-pub fn run_suite(runner: &Runner<'_>, n: usize, m: usize) -> Result<OttSuiteResult> {
+pub fn run_suite(runner: &Runner, n: usize, m: usize) -> Result<OttSuiteResult> {
     let mut rows = Vec::new();
     for consts in ott_query_suite(n, m) {
         let q = ott_query(runner.database(), &consts)?;
@@ -44,7 +46,7 @@ pub fn run(quick: bool) -> Result<Vec<TextTable>> {
         rows_per_value: if quick { 10 } else { 20 },
         ..Default::default()
     };
-    let db = build_ott_database(&config)?;
+    let db = Arc::new(build_ott_database(&config)?);
     let runner_config = RunnerConfig {
         sample_ratio: recommended_sample_ratio(&config),
         ..Default::default()

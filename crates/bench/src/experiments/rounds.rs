@@ -7,6 +7,8 @@
 //! chosen under partially validated statistics; only convergence gives the
 //! local-optimality guarantee.
 
+use std::sync::Arc;
+
 use crate::harness::{fmt_ms, Runner, RunnerConfig, TextTable};
 use reopt_common::rng::derive_rng_indexed;
 use reopt_common::Result;
@@ -29,10 +31,10 @@ pub fn run(quick: bool) -> Result<Vec<TextTable>> {
 
     // --- Figure 14: hard TPC-H-like templates, per-round runtimes.
     {
-        let db = build_tpch_database(&TpchConfig {
+        let db = Arc::new(build_tpch_database(&TpchConfig {
             scale: if quick { 0.005 } else { 0.02 },
             ..Default::default()
-        })?;
+        })?);
         let runner = Runner::new(&db, OptimizerConfig::postgres_like(), rounds_config())?;
         let mut t = TextTable::new(
             "Figure 14 — runtime of each plan generated during re-optimization (TPC-H-like hard queries; paper: Q8/Q9/Q21, intermediate plans may regress before converging)",
@@ -53,7 +55,7 @@ pub fn run(quick: bool) -> Result<Vec<TextTable>> {
             rows_per_value: if quick { 10 } else { 20 },
             ..Default::default()
         };
-        let db = build_ott_database(&config)?;
+        let db = Arc::new(build_ott_database(&config)?);
         let runner_config = RunnerConfig {
             sample_ratio: recommended_sample_ratio(&config),
             ..rounds_config()

@@ -5,6 +5,8 @@
 //! hand-tweaked `q50p` variant improving severalfold once re-optimization
 //! catches the sale→return date correlation.
 
+use std::sync::Arc;
+
 use crate::harness::{fmt_ms, Runner, RunnerConfig, TextTable};
 use reopt_common::rng::derive_rng_indexed;
 use reopt_common::Result;
@@ -14,10 +16,10 @@ use reopt_workloads::tpcds::{all_template_names, build_tpcds_database, instantia
 /// The Figures 19–20 experiment.
 pub fn run(quick: bool) -> Result<Vec<TextTable>> {
     let instances = if quick { 1 } else { 5 };
-    let db = build_tpcds_database(&TpcdsConfig {
+    let db = Arc::new(build_tpcds_database(&TpcdsConfig {
         scale: if quick { 0.2 } else { 1.0 },
         ..Default::default()
-    })?;
+    })?);
     let runner = Runner::new(
         &db,
         OptimizerConfig::postgres_like(),

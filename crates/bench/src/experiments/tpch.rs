@@ -3,6 +3,8 @@
 //! uniform (z=0) and skewed (z=1) databases, with default and calibrated
 //! cost units.
 
+use std::sync::Arc;
+
 use crate::harness::{fmt_ms, Runner, RunnerConfig, TextTable};
 use reopt_common::rng::derive_rng_indexed;
 use reopt_common::Result;
@@ -31,11 +33,7 @@ pub struct TemplateResult {
 }
 
 /// Run every template on one runner; returns per-template averages.
-pub fn run_templates(
-    runner: &Runner<'_>,
-    instances: usize,
-    seed: u64,
-) -> Result<Vec<TemplateResult>> {
+pub fn run_templates(runner: &Runner, instances: usize, seed: u64) -> Result<Vec<TemplateResult>> {
     let mut out = Vec::new();
     for name in all_template_names() {
         let mut orig = 0.0;
@@ -71,11 +69,11 @@ pub fn run_templates(
 pub fn run(z: f64, quick: bool) -> Result<Vec<TextTable>> {
     let instances = if quick { 2 } else { 10 };
     let scale = if quick { 0.005 } else { 0.02 };
-    let db = build_tpch_database(&TpchConfig {
+    let db = Arc::new(build_tpch_database(&TpchConfig {
         scale,
         zipf_z: z,
         ..Default::default()
-    })?;
+    })?);
     let runner = Runner::new(
         &db,
         OptimizerConfig::postgres_like(),

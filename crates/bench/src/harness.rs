@@ -1,14 +1,15 @@
 //! Shared experiment-runner plumbing for the figure harnesses.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use reopt_common::Result;
-use reopt_core::{ReOptConfig, ReOptimizer, ReoptReport};
+use reopt_core::{ReOptConfig, ReoptEngine, ReoptReport};
 use reopt_executor::{ExecOpts, Executor};
-use reopt_optimizer::{Optimizer, OptimizerConfig};
+use reopt_optimizer::OptimizerConfig;
 use reopt_plan::{PhysicalPlan, Query};
-use reopt_sampling::{SampleConfig, SampleStore};
-use reopt_stats::{analyze_database, AnalyzeOpts, DatabaseStats};
+use reopt_sampling::SampleConfig;
+use reopt_stats::AnalyzeOpts;
 use reopt_storage::Database;
 
 /// Configuration for a [`Runner`].
@@ -65,60 +66,58 @@ pub struct QueryRun {
 }
 
 /// An experiment runner bound to one database + optimizer configuration.
-pub struct Runner<'a> {
-    db: &'a Database,
-    stats: DatabaseStats,
-    samples: SampleStore,
-    opt_config: OptimizerConfig,
+pub struct Runner {
+    engine: ReoptEngine,
     config: RunnerConfig,
 }
 
-impl<'a> Runner<'a> {
+impl Runner {
     /// Analyze and sample `db`, binding the given optimizer configuration.
     pub fn new(
-        db: &'a Database,
+        db: &Arc<Database>,
         opt_config: OptimizerConfig,
         config: RunnerConfig,
     ) -> Result<Self> {
-        let stats = analyze_database(db, &AnalyzeOpts::default())?;
-        let samples = SampleStore::build(
-            db,
-            SampleConfig {
-                ratio: config.sample_ratio,
-                seed: config.seed,
-                ..Default::default()
-            },
-        )?;
-        Ok(Runner {
-            db,
-            stats,
-            samples,
+        let sample = SampleConfig {
+            ratio: config.sample_ratio,
+            seed: config.seed,
+            ..Default::default()
+        };
+        let engine = ReoptEngine::from_database_with_configs(
+            Arc::clone(db),
+            &AnalyzeOpts::default(),
+            sample,
             opt_config,
-            config,
-        })
+            config.reopt.clone(),
+        )?;
+        Ok(Runner { engine, config })
     }
 
     /// Swap in a different optimizer configuration (e.g. calibrated cost
     /// units) while reusing the stats and samples.
-    pub fn with_optimizer_config(&self, opt_config: OptimizerConfig) -> Runner<'a> {
+    pub fn with_optimizer_config(&self, opt_config: OptimizerConfig) -> Runner {
+        let e = &self.engine;
         Runner {
-            db: self.db,
-            stats: self.stats.clone(),
-            samples: self.samples.clone(),
-            opt_config,
+            engine: ReoptEngine::with_configs(
+                Arc::clone(e.db()),
+                Arc::clone(e.stats()),
+                Arc::clone(e.samples()),
+                opt_config,
+                e.reopt_config().clone(),
+            ),
             config: self.config.clone(),
         }
     }
 
     /// The bound database.
-    pub fn database(&self) -> &'a Database {
-        self.db
+    pub fn database(&self) -> &Database {
+        self.engine.db()
     }
 
     /// Time one plan on the full database; `None` if it blows the guard.
     pub fn time_plan(&self, query: &Query, plan: &PhysicalPlan) -> Option<(f64, u64)> {
         let exec = Executor::with_opts(
-            self.db,
+            self.engine.db(),
             ExecOpts {
                 max_intermediate_rows: self.config.max_intermediate_rows,
                 ..Default::default()
@@ -134,9 +133,7 @@ impl<'a> Runner<'a> {
     /// Run the full pipeline on one query: re-optimize, then execute the
     /// original and final plans on the full database.
     pub fn run_query(&self, query: &Query) -> Result<QueryRun> {
-        let optimizer = Optimizer::with_config(self.db, &self.stats, self.opt_config.clone());
-        let reopt = ReOptimizer::with_config(&optimizer, &self.samples, self.config.reopt.clone());
-        let report = reopt.run(query)?;
+        let report = self.engine.reoptimize(query)?;
 
         let original_plan = &report.rounds[0].plan;
         let (original_ms, _) = self

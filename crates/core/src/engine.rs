@@ -1,19 +1,17 @@
-//! An owned, `Arc`-shareable re-optimization engine.
+//! The one front door to Algorithm 1.
 //!
-//! [`crate::ReOptimizer`] and [`Optimizer`] are deliberately borrow-based
-//! — cheap to construct, zero setup cost per query — which is perfect for
-//! experiments but awkward for a long-lived server: a thread can't park a
-//! `ReOptimizer<'a>` inside an `Arc` without dragging `'a` through every
-//! API. [`ReoptEngine`] closes that gap. It *owns* the database, its
-//! statistics and the sample store behind `Arc`s, plus the optimizer and
-//! re-optimizer configurations, and materializes the short-lived borrowing
-//! optimizers internally on each call. The engine is `Send + Sync`
-//! (everything inside is immutable shared data), so a query service can
-//! hold one in an `Arc` and serve any number of sessions from it.
+//! [`ReoptEngine`] *owns* the database, its statistics and the sample
+//! store behind `Arc`s, plus the optimizer and re-optimization
+//! configurations, and materializes the short-lived borrowing
+//! [`Optimizer`] on each call (a few clones of plain config structs —
+//! cheap next to even one optimizer invocation). The engine is
+//! `Send + Sync` (everything inside is immutable shared data), so a query
+//! service can hold one in an `Arc` and serve any number of sessions from
+//! it; tests, examples and the experiment harness drive the same type.
 
 use std::sync::Arc;
 
-use crate::reopt::{ReOptConfig, ReOptimizer};
+use crate::reopt::{ExecutedReopt, ReOptConfig};
 use crate::report::ReoptReport;
 use reopt_common::Result;
 use reopt_optimizer::{CardOverrides, Optimizer, OptimizerConfig, PlanMemo};
@@ -175,23 +173,76 @@ impl ReoptEngine {
         &self.optimizer_config
     }
 
+    /// The optimizer this engine plans with, borrowing its data — for
+    /// callers that re-cost plans, e.g. the Theorem 5 and 6 checks on a
+    /// [`ReoptReport`].
+    pub fn optimizer(&self) -> Optimizer<'_> {
+        Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone())
+    }
+
     /// Run Algorithm 1 on `query` with a run-private sample cache.
     pub fn reoptimize(&self, query: &Query) -> Result<ReoptReport> {
-        self.with_reoptimizer(|re| re.run(query))
+        self.reoptimize_with(query, &SharedSampleRunCache::new(), &Tracer::disabled())
     }
 
     /// Run Algorithm 1 on `query`, pooling sample dry-run work through
-    /// `sample_cache` and recording spans under `tracer` (see
-    /// [`ReOptimizer::run_with`]; neither argument changes any planning
-    /// decision). The cache must have been used only with this engine's
-    /// sample store and validation options.
+    /// `sample_cache` and emitting `reopt.loop` → `reopt.round` →
+    /// (`optimizer.dp`, `sampling.dry_run`) spans under `tracer`. Neither
+    /// argument changes any planning decision. Sharing one cache lets cold
+    /// misses on different queries replay each other's validated
+    /// subtrees; any engine over the same database may share it, since
+    /// entries key by the sample versions they were dry-run over.
     pub fn reoptimize_with(
         &self,
         query: &Query,
         sample_cache: &SharedSampleRunCache,
         tracer: &Tracer,
     ) -> Result<ReoptReport> {
-        self.with_reoptimizer(|re| re.run_with(query, sample_cache, tracer))
+        let optimizer = self.optimizer();
+        let (report, _) = crate::reopt::run(
+            &optimizer,
+            &self.samples,
+            &self.reopt_config,
+            query,
+            sample_cache,
+            tracer,
+        )?;
+        Ok(report)
+    }
+
+    /// Run Algorithm 1 on `query`, then execute the chosen plan against
+    /// the full database through the one path to rows (see
+    /// [`ReoptEngine::execute_plan`]). With [`ReOptConfig::mid_query`] on,
+    /// the mid-query loop starts from the sampling loop's final Γ (sets
+    /// never observed keep their validated estimates, observed sets are
+    /// upgraded to exact counts) and inherits its DP memo, so the first
+    /// replan re-costs only what the new exact entries touch. One tracer,
+    /// `exec_opts.tracer`, covers the loop and the execution.
+    pub fn execute(
+        &self,
+        query: &Query,
+        exec_opts: reopt_executor::ExecOpts,
+    ) -> Result<ExecutedReopt> {
+        let optimizer = self.optimizer();
+        let tracer = exec_opts.tracer.clone();
+        let (report, memo) = crate::reopt::run(
+            &optimizer,
+            &self.samples,
+            &self.reopt_config,
+            query,
+            &SharedSampleRunCache::new(),
+            &tracer,
+        )?;
+        let run = crate::midquery::execute(
+            &optimizer,
+            &self.reopt_config,
+            query,
+            &report.final_plan,
+            report.gamma.clone(),
+            memo,
+            exec_opts,
+        )?;
+        Ok(ExecutedReopt { report, run })
     }
 
     /// Re-validate an already-chosen plan against this engine's (fresh)
@@ -213,18 +264,15 @@ impl ReoptEngine {
         sample_cache: &SharedSampleRunCache,
         tracer: &Tracer,
     ) -> Result<(f64, Validation)> {
-        let mut opts = self.reopt_config.validation.clone();
-        opts.tracer = tracer.clone();
         let v = reopt_sampling::validate_plan_cached(
             query,
             plan,
             &self.samples,
-            &opts,
+            &self.reopt_config.validation,
             &mut sample_cache.clone(),
+            tracer,
         )?;
-        let optimizer =
-            Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone());
-        let (_, cost) = optimizer.cost_plan(query, plan, &v.delta)?;
+        let (_, cost) = self.optimizer().cost_plan(query, plan, &v.delta)?;
         Ok((cost, v))
     }
 
@@ -235,17 +283,15 @@ impl ReoptEngine {
     /// draw on native statistics plus the exact cardinalities observed so
     /// far (the admitted plan itself already encodes the sampling loop's
     /// repairs). Otherwise it runs straight through. Result-equivalent
-    /// either way.
+    /// either way. [`ReoptEngine::execute`] is the seeded counterpart.
     pub fn execute_plan(
         &self,
         query: &Query,
         plan: &reopt_plan::PhysicalPlan,
         exec_opts: reopt_executor::ExecOpts,
     ) -> Result<crate::midquery::MidQueryRun> {
-        let optimizer =
-            Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone());
         crate::midquery::execute(
-            &optimizer,
+            &self.optimizer(),
             &self.reopt_config,
             query,
             plan,
@@ -267,70 +313,12 @@ impl ReoptEngine {
             .with_mid_query(true)
             .execute_plan(query, plan, exec_opts)
     }
-
-    /// Materialize the borrowing optimizer + re-optimizer and hand them to
-    /// `f`. Construction is a few clones of plain config structs — cheap
-    /// relative to even one optimizer invocation.
-    fn with_reoptimizer<T>(&self, f: impl FnOnce(&ReOptimizer<'_>) -> Result<T>) -> Result<T> {
-        let optimizer =
-            Optimizer::with_config(&self.db, &self.stats, self.optimizer_config.clone());
-        let re = ReOptimizer::with_config(&optimizer, &self.samples, self.reopt_config.clone());
-        f(&re)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reopt_common::{ColId, TableId};
-    use reopt_plan::query::ColRef;
-    use reopt_plan::{Predicate, QueryBuilder};
-    use reopt_storage::{Column, ColumnDef, LogicalType, Table, TableSchema};
-
-    fn ott_db(k: usize, vals: i64, per: usize) -> Database {
-        let mut db = Database::new();
-        for t in 0..k {
-            db.add_table_with(|id| {
-                let schema = TableSchema::new(vec![
-                    ColumnDef::new("a", LogicalType::Int),
-                    ColumnDef::new("b", LogicalType::Int),
-                ])?;
-                let mut data = Vec::new();
-                for v in 0..vals {
-                    data.extend(std::iter::repeat_n(v, per));
-                }
-                let mut tbl = Table::new(
-                    id,
-                    format!("e{t}"),
-                    schema,
-                    vec![
-                        Column::from_i64(LogicalType::Int, data.clone()),
-                        Column::from_i64(LogicalType::Int, data),
-                    ],
-                )?;
-                tbl.create_index(ColId::new(0))?;
-                tbl.create_index(ColId::new(1))?;
-                Ok(tbl)
-            })
-            .unwrap();
-        }
-        db
-    }
-
-    fn ott_query(k: usize, consts: &[i64]) -> Query {
-        let mut qb = QueryBuilder::new();
-        let rels: Vec<_> = (0..k).map(|i| qb.add_relation(TableId::from(i))).collect();
-        for (i, &r) in rels.iter().enumerate() {
-            qb.add_predicate(Predicate::eq(r, ColId::new(0), consts[i]));
-        }
-        for w in rels.windows(2) {
-            qb.add_join(
-                ColRef::new(w[0], ColId::new(1)),
-                ColRef::new(w[1], ColId::new(1)),
-            );
-        }
-        qb.build()
-    }
+    use crate::testutil::{ott_db, ott_query};
 
     #[test]
     fn engine_is_send_and_sync() {
@@ -339,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_borrowing_reoptimizer() {
+    fn execute_report_matches_reoptimize() {
         let db = Arc::new(ott_db(4, 50, 20));
         let engine = ReoptEngine::from_database(
             db.clone(),
@@ -348,15 +336,14 @@ mod tests {
         )
         .unwrap();
         let q = ott_query(4, &[0, 0, 0, 1]);
-        let from_engine = engine.reoptimize(&q).unwrap();
+        let reoptimized = engine.reoptimize(&q).unwrap();
 
-        let optimizer = Optimizer::new(&db, engine.stats());
-        let re = ReOptimizer::new(&optimizer, engine.samples());
-        let from_borrowed = re.run(&q).unwrap();
-        assert_eq!(from_engine.num_rounds(), from_borrowed.num_rounds());
-        assert!(from_engine
-            .final_plan
-            .same_structure(&from_borrowed.final_plan));
+        let executed = engine
+            .execute(&q, reopt_executor::ExecOpts::serial())
+            .unwrap()
+            .report;
+        assert_eq!(reoptimized.num_rounds(), executed.num_rounds());
+        assert!(reoptimized.final_plan.same_structure(&executed.final_plan));
     }
 
     #[test]

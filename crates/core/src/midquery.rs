@@ -216,8 +216,8 @@ pub(crate) fn execute(
 /// Execute `plan` for `query` against `db` with the suspend → refine →
 /// replan → resume loop, unconditionally. Whether a query *should* run
 /// this way is decided in one place, behind
-/// [`ReOptimizer::execute_with_opts`](crate::ReOptimizer::execute_with_opts)
-/// and [`ReoptEngine::execute_plan`](crate::ReoptEngine::execute_plan);
+/// [`ReoptEngine::execute`](crate::ReoptEngine::execute) and
+/// [`ReoptEngine::execute_plan`](crate::ReoptEngine::execute_plan);
 /// call this directly only for a query the DP can re-plan (a replan
 /// beyond `geqo_threshold` relations fails).
 ///
@@ -409,58 +409,11 @@ pub fn execute_mid_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reopt::{ReOptConfig, ReOptimizer};
-    use reopt_common::{ColId, RelId, TableId};
-    use reopt_plan::query::ColRef;
-    use reopt_plan::{Predicate, QueryBuilder};
-    use reopt_sampling::{SampleConfig, SampleStore};
+    use crate::testutil::{ott_db, ott_engine, ott_query};
+    use crate::ReoptEngine;
+    use reopt_common::RelId;
+    use reopt_sampling::SampleConfig;
     use reopt_stats::{analyze_database, AnalyzeOpts};
-    use reopt_storage::{Column, ColumnDef, LogicalType, Table, TableSchema};
-
-    fn ott_db(k: usize, vals: i64, per: usize) -> Database {
-        let mut db = Database::new();
-        for t in 0..k {
-            db.add_table_with(|id| {
-                let schema = TableSchema::new(vec![
-                    ColumnDef::new("a", LogicalType::Int),
-                    ColumnDef::new("b", LogicalType::Int),
-                ])?;
-                let mut data = Vec::new();
-                for v in 0..vals {
-                    data.extend(std::iter::repeat_n(v, per));
-                }
-                let mut tbl = Table::new(
-                    id,
-                    format!("m{t}"),
-                    schema,
-                    vec![
-                        Column::from_i64(LogicalType::Int, data.clone()),
-                        Column::from_i64(LogicalType::Int, data),
-                    ],
-                )?;
-                tbl.create_index(ColId::new(0))?;
-                tbl.create_index(ColId::new(1))?;
-                Ok(tbl)
-            })
-            .unwrap();
-        }
-        db
-    }
-
-    fn ott_query(k: usize, consts: &[i64]) -> Query {
-        let mut qb = QueryBuilder::new();
-        let rels: Vec<_> = (0..k).map(|i| qb.add_relation(TableId::from(i))).collect();
-        for (i, &r) in rels.iter().enumerate() {
-            qb.add_predicate(Predicate::eq(r, ColId::new(0), consts[i]));
-        }
-        for w in rels.windows(2) {
-            qb.add_join(
-                ColRef::new(w[0], ColId::new(1)),
-                ColRef::new(w[1], ColId::new(1)),
-            );
-        }
-        qb.build()
-    }
 
     /// Canonical tuple-set view of a row set: relations in ascending id
     /// order, tuples sorted — plan-shape-independent result identity.
@@ -476,33 +429,24 @@ mod tests {
 
     #[test]
     fn mid_query_is_result_equivalent_to_straight_through() {
-        let db = ott_db(4, 50, 20);
-        let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-        let opt = reopt_optimizer::Optimizer::new(&db, &stats);
+        let engine = ott_engine(4, 50, 20, SampleConfig::default(), ReOptConfig::default())
+            .with_validation_threads(1);
+        let exhaustive = ReoptEngine::with_configs(
+            engine.db().clone(),
+            engine.stats().clone(),
+            engine.samples().clone(),
+            engine.optimizer_config().clone(),
+            ReOptConfig {
+                mid_query: true,
+                replan_discrepancy: None, // exhaustive: replan every time
+                ..engine.reopt_config().clone()
+            },
+        );
+        let db = engine.db();
         for consts in [vec![0i64, 0, 0, 0], vec![0, 0, 0, 1]] {
             let q = ott_query(4, &consts);
-            let straight = ReOptimizer::with_config(
-                &opt,
-                &samples,
-                ReOptConfig {
-                    mid_query: false,
-                    ..ReOptConfig::with_threads(1)
-                },
-            )
-            .execute(&q)
-            .unwrap();
-            let mid = ReOptimizer::with_config(
-                &opt,
-                &samples,
-                ReOptConfig {
-                    mid_query: true,
-                    replan_discrepancy: None, // exhaustive: replan every time
-                    ..ReOptConfig::with_threads(1)
-                },
-            )
-            .execute(&q)
-            .unwrap();
+            let straight = engine.execute(&q, ExecOpts::serial()).unwrap();
+            let mid = exhaustive.execute(&q, ExecOpts::serial()).unwrap();
             assert_eq!(
                 canonical(&straight.run.rows),
                 canonical(&mid.run.rows),
@@ -514,7 +458,7 @@ mod tests {
             assert!(mid.run.report.stats.exact_gamma_entries > 0);
             // Every exact Γ entry matches the straight-through observation
             // of the same set wherever that set appears in its trace.
-            let exec = Executor::with_opts(&db, ExecOpts::serial());
+            let exec = Executor::with_opts(db, ExecOpts::serial());
             let trace = exec
                 .run_pipeline(&q, mid.run.report.final_plan(), None)
                 .unwrap()
@@ -587,15 +531,12 @@ mod tests {
 
     #[test]
     fn straight_wrapper_matches_plain_execution() {
-        let db = ott_db(3, 20, 5);
-        let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-        let opt = reopt_optimizer::Optimizer::new(&db, &stats);
+        let engine = ott_engine(3, 20, 5, SampleConfig::default(), ReOptConfig::default())
+            .with_validation_threads(1);
         let q = ott_query(3, &[0, 0, 0]);
-        let re = ReOptimizer::with_config(&opt, &samples, ReOptConfig::with_threads(1));
-        let executed = re.execute(&q).unwrap();
+        let executed = engine.execute(&q, ExecOpts::serial()).unwrap();
         assert_eq!(executed.run.report.stats, MidQueryStats::default());
-        let exec = Executor::with_opts(&db, ExecOpts::serial());
+        let exec = Executor::with_opts(engine.db(), ExecOpts::serial());
         let rows = exec
             .run_pipeline(&q, &executed.report.final_plan, None)
             .unwrap()

@@ -4,16 +4,17 @@
 //! of plans generated during re-optimization (Figures 5, 8, 16, 20), the
 //! time spent re-optimizing versus executing (Figures 6, 9, 17, 18), the
 //! per-round plans whose true runtimes Figures 14–15 chart, and the
-//! transformation-chain structure that Theorem 2 predicts.
+//! transformation-chain structure that Theorem 2 predicts. The report also
+//! machine-checks Theorems 2, 5 and 6 on the run it records.
 
 use std::time::Duration;
 
 use serde::Serialize;
 
 use reopt_common::FxHashSet;
-use reopt_optimizer::CardOverrides;
+use reopt_optimizer::{CardOverrides, Optimizer};
 use reopt_plan::transform::TransformKind;
-use reopt_plan::PhysicalPlan;
+use reopt_plan::{PhysicalPlan, Query};
 
 /// One round of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -160,6 +161,48 @@ impl ReoptReport {
             }
         }
         Ok(())
+    }
+
+    /// Theorem 5 check: under the final Γ (which prices every plan the
+    /// loop generated), the final plan's estimated cost must not exceed
+    /// any earlier plan's. Returns the (final_cost, costs-per-round) pair
+    /// for reporting. `optimizer` must be the one the loop planned with.
+    pub fn verify_final_optimality(
+        &self,
+        optimizer: &Optimizer<'_>,
+        query: &Query,
+    ) -> reopt_common::Result<(f64, Vec<f64>)> {
+        let mut costs = Vec::with_capacity(self.rounds.len());
+        for r in &self.rounds {
+            let (_, c) = optimizer.cost_plan(query, &r.plan, &self.gamma)?;
+            costs.push(c);
+        }
+        let (_, final_cost) = optimizer.cost_plan(query, &self.final_plan, &self.gamma)?;
+        Ok((final_cost, costs))
+    }
+
+    /// Theorem 6 check: the final plan costs no more (under the final Γ)
+    /// than any of its local transformations — operand swaps and
+    /// single-node operator substitutions. Returns the number of
+    /// alternatives examined.
+    pub fn verify_theorem6(
+        &self,
+        optimizer: &Optimizer<'_>,
+        query: &Query,
+    ) -> reopt_common::Result<usize> {
+        let (_, final_cost) = optimizer.cost_plan(query, &self.final_plan, &self.gamma)?;
+        let alternatives = reopt_plan::local_transformations(&self.final_plan);
+        let examined = alternatives.len();
+        for alt in alternatives {
+            let (_, alt_cost) = optimizer.cost_plan(query, &alt, &self.gamma)?;
+            if final_cost > alt_cost * (1.0 + 1e-9) {
+                return Err(reopt_common::Error::internal(format!(
+                    "Theorem 6 violated: local transformation costs {alt_cost}, final costs {final_cost}\n{}",
+                    alt.explain()
+                )));
+            }
+        }
+        Ok(examined)
     }
 
     /// Serializable summary for experiment logs.

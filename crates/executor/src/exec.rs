@@ -751,9 +751,16 @@ impl<'a> Executor<'a> {
         let lkeys = self.gather_keys(query, left, &lcols)?;
         let rkeys = self.gather_keys(query, right, &rcols)?;
 
-        let key_at =
-            |cols: &[Vec<i64>], i: usize| -> Vec<i64> { cols.iter().map(|c| c[i]).collect() };
         let non_null = |cols: &[Vec<i64>], i: usize| cols.iter().all(|c| c[i] != NULL_SENTINEL);
+        // Lexicographic order of row `i`'s key in `a` against row `j`'s in
+        // `b`, compared column by column in place.
+        let key_cmp = |a: &[Vec<i64>], i: u32, b: &[Vec<i64>], j: u32| {
+            a.iter()
+                .zip(b)
+                .map(|(ca, cb)| ca[i as usize].cmp(&cb[j as usize]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
 
         let mut lidx: Vec<u32> = (0..left.len() as u32)
             .filter(|&i| non_null(&lkeys, i as usize))
@@ -761,15 +768,14 @@ impl<'a> Executor<'a> {
         let mut ridx: Vec<u32> = (0..right.len() as u32)
             .filter(|&j| non_null(&rkeys, j as usize))
             .collect();
-        lidx.sort_by_key(|&i| key_at(&lkeys, i as usize));
-        ridx.sort_by_key(|&j| key_at(&rkeys, j as usize));
+        // Stable sorts: equal keys keep input order.
+        lidx.sort_by(|&x, &y| key_cmp(&lkeys, x, &lkeys, y));
+        ridx.sort_by(|&x, &y| key_cmp(&rkeys, x, &rkeys, y));
 
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
         while i < lidx.len() && j < ridx.len() {
-            let lk = key_at(&lkeys, lidx[i] as usize);
-            let rk = key_at(&rkeys, ridx[j] as usize);
-            match lk.cmp(&rk) {
+            match key_cmp(&lkeys, lidx[i], &rkeys, ridx[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
@@ -777,11 +783,15 @@ impl<'a> Executor<'a> {
                     // bounded walks: no iterator-`last()` to unwrap, and
                     // correct when a run touches the end of its input.
                     let mut i_end = i + 1;
-                    while i_end < lidx.len() && key_at(&lkeys, lidx[i_end] as usize) == lk {
+                    while i_end < lidx.len()
+                        && key_cmp(&lkeys, lidx[i_end], &lkeys, lidx[i]).is_eq()
+                    {
                         i_end += 1;
                     }
                     let mut j_end = j + 1;
-                    while j_end < ridx.len() && key_at(&rkeys, ridx[j_end] as usize) == rk {
+                    while j_end < ridx.len()
+                        && key_cmp(&rkeys, ridx[j_end], &rkeys, ridx[j]).is_eq()
+                    {
                         j_end += 1;
                     }
                     // An equal-run cross product can blow up on its own

@@ -95,46 +95,19 @@ impl PinnedLeaf {
     }
 }
 
-/// Plan `query` by dynamic programming.
+/// Plan `query` by dynamic programming over a persistent DP table, with
+/// completed subtrees pinned as zero-cost leaves.
 ///
 /// `est` supplies (Γ-overridden) cardinalities; `model` the cost formulas.
-pub fn plan_dp(
-    db: &Database,
-    query: &Query,
-    est: &mut CardinalityEstimator<'_>,
-    model: &CostModel,
-    ops: &OperatorSet,
-    left_deep_only: bool,
-) -> Result<(PhysicalPlan, SearchStats)> {
-    let mut memo = PlanMemo::new();
-    plan_dp_incremental(db, query, est, model, ops, left_deep_only, &mut memo)
-}
-
-/// Plan `query` by dynamic programming over a persistent DP table.
-///
 /// Entries already present in `memo` are reused verbatim; only missing
 /// subsets are (re-)planned. The caller is responsible for evicting stale
 /// entries (via [`PlanMemo::invalidate_supersets`]) whenever Γ changes and
 /// for never sharing one memo across different queries or optimizer
-/// configurations. With an empty memo this is exactly the from-scratch
-/// search.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_dp_incremental(
-    db: &Database,
-    query: &Query,
-    est: &mut CardinalityEstimator<'_>,
-    model: &CostModel,
-    ops: &OperatorSet,
-    left_deep_only: bool,
-    memo: &mut PlanMemo,
-) -> Result<(PhysicalPlan, SearchStats)> {
-    plan_dp_pinned(db, query, est, model, ops, left_deep_only, memo, &[])
-}
-
-/// Plan `query` by dynamic programming with completed subtrees pinned as
-/// zero-cost leaves — the mid-query re-plan of a suspended execution.
+/// configurations. With an empty memo and no pins this is exactly the
+/// from-scratch search.
 ///
-/// Each [`PinnedLeaf`] is atomic: the search never decomposes it, never
+/// `pinned` is empty except in the mid-query re-plan of a suspended
+/// execution. Each [`PinnedLeaf`] is atomic: the search never decomposes it, never
 /// costs any set that straddles its boundary (partially overlaps it), and
 /// splices its already-executed plan in verbatim at cost 0 with its exact
 /// observed row count. Consequently the returned plan can never re-execute
@@ -143,7 +116,7 @@ pub fn plan_dp_incremental(
 /// supersets of every pin before calling — entries planned under smaller
 /// pins may decompose across the new boundary.
 #[allow(clippy::too_many_arguments)]
-pub fn plan_dp_pinned(
+pub fn plan_dp(
     db: &Database,
     query: &Query,
     est: &mut CardinalityEstimator<'_>,
@@ -548,6 +521,8 @@ mod tests {
             &CostModel::default(),
             &OperatorSet::default(),
             left_deep,
+            &mut PlanMemo::new(),
+            &[],
         )
         .unwrap()
     }
@@ -779,7 +754,7 @@ mod tests {
         let mut est =
             CardinalityEstimator::new(db, stats, q, g, &CardEstConfig::default()).unwrap();
         let mut memo = PlanMemo::new();
-        plan_dp_pinned(
+        plan_dp(
             db,
             q,
             &mut est,
@@ -889,7 +864,7 @@ mod tests {
         let mut est =
             CardinalityEstimator::new(&db, &stats, &q, &g0, &CardEstConfig::default()).unwrap();
         let mut memo = PlanMemo::new();
-        let _ = plan_dp_incremental(
+        let _ = plan_dp(
             &db,
             &q,
             &mut est,
@@ -897,6 +872,7 @@ mod tests {
             &OperatorSet::default(),
             false,
             &mut memo,
+            &[],
         )
         .unwrap();
 
@@ -906,7 +882,7 @@ mod tests {
         g.insert_exact(pin.set, 9.0);
         let mut est =
             CardinalityEstimator::new(&db, &stats, &q, &g, &CardEstConfig::default()).unwrap();
-        let (plan, stats_out) = plan_dp_pinned(
+        let (plan, stats_out) = plan_dp(
             &db,
             &q,
             &mut est,

@@ -9,7 +9,7 @@
 
 use crate::cardinality::{CardEstConfig, CardinalityEstimator};
 use crate::cost::{CostModel, CostUnits};
-use crate::dp::{plan_dp, plan_dp_incremental, OperatorSet, SearchStats};
+use crate::dp::{plan_dp, OperatorSet, PinnedLeaf, SearchStats};
 use crate::geqo::{plan_geqo, GeqoConfig};
 use crate::memo::PlanMemo;
 use crate::overrides::CardOverrides;
@@ -18,8 +18,8 @@ use reopt_plan::{PhysicalPlan, Query};
 use reopt_stats::DatabaseStats;
 use reopt_storage::Database;
 
-/// Full optimizer configuration.
-#[derive(Debug, Clone, Default)]
+/// Full optimizer configuration. The default is PostgreSQL-like.
+#[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Cost units (default: PostgreSQL's).
     pub cost_units: CostUnits,
@@ -36,13 +36,23 @@ pub struct OptimizerConfig {
     pub geqo: GeqoConfig,
 }
 
-impl OptimizerConfig {
-    /// PostgreSQL-like defaults.
-    pub fn postgres_like() -> Self {
+impl Default for OptimizerConfig {
+    fn default() -> Self {
         OptimizerConfig {
+            cost_units: CostUnits::default(),
+            cardinality: CardEstConfig::default(),
+            operators: OperatorSet::default(),
+            left_deep_only: false,
             geqo_threshold: 12,
-            ..Default::default()
+            geqo: GeqoConfig::default(),
         }
+    }
+}
+
+impl OptimizerConfig {
+    /// PostgreSQL-like defaults (the same as [`OptimizerConfig::default`]).
+    pub fn postgres_like() -> Self {
+        Self::default()
     }
 }
 
@@ -75,10 +85,6 @@ impl<'a> Optimizer<'a> {
         stats: &'a DatabaseStats,
         config: OptimizerConfig,
     ) -> Self {
-        let mut config = config;
-        if config.geqo_threshold == 0 {
-            config.geqo_threshold = 12;
-        }
         Optimizer { db, stats, config }
     }
 
@@ -105,35 +111,7 @@ impl<'a> Optimizer<'a> {
     /// Optimize with validated cardinalities Γ — Algorithm 1's
     /// `GetPlanFromOptimizer(Γ)`.
     pub fn optimize_with(&self, query: &Query, overrides: &CardOverrides) -> Result<Planned> {
-        query.validate(self.db)?;
-        let mut est = CardinalityEstimator::new(
-            self.db,
-            self.stats,
-            query,
-            overrides,
-            &self.config.cardinality,
-        )?;
-        let model = CostModel::new(self.config.cost_units);
-        let (plan, search) = if query.num_relations() > self.config.geqo_threshold {
-            plan_geqo(
-                self.db,
-                query,
-                &mut est,
-                &model,
-                &self.config.operators,
-                &self.config.geqo,
-            )?
-        } else {
-            plan_dp(
-                self.db,
-                query,
-                &mut est,
-                &model,
-                &self.config.operators,
-                self.config.left_deep_only,
-            )?
-        };
-        Ok(Planned { plan, search })
+        self.search(query, overrides, &mut PlanMemo::new(), &[])
     }
 
     /// Like [`Optimizer::optimize_with`], but reusing (and refilling) a
@@ -149,34 +127,12 @@ impl<'a> Optimizer<'a> {
         overrides: &CardOverrides,
         memo: &mut PlanMemo,
     ) -> Result<Planned> {
-        if query.num_relations() > self.config.geqo_threshold {
-            // The genetic search keeps no DP table to reuse.
-            return self.optimize_with(query, overrides);
-        }
-        query.validate(self.db)?;
-        let mut est = CardinalityEstimator::new(
-            self.db,
-            self.stats,
-            query,
-            overrides,
-            &self.config.cardinality,
-        )?;
-        let model = CostModel::new(self.config.cost_units);
-        let (plan, search) = plan_dp_incremental(
-            self.db,
-            query,
-            &mut est,
-            &model,
-            &self.config.operators,
-            self.config.left_deep_only,
-            memo,
-        )?;
-        Ok(Planned { plan, search })
+        self.search(query, overrides, memo, &[])
     }
 
     /// Like [`Optimizer::optimize_incremental`], but with completed
     /// subtrees pinned as atomic zero-cost leaves — the mid-query re-plan
-    /// of a suspended execution (see [`crate::dp::plan_dp_pinned`]). The
+    /// of a suspended execution (see [`crate::dp::plan_dp`]). The
     /// returned plan contains every pin verbatim and never costs a set
     /// that straddles a pin boundary, so it cannot re-execute any part of
     /// a checkpointed result. The caller must invalidate memo supersets of
@@ -190,14 +146,26 @@ impl<'a> Optimizer<'a> {
         &self,
         query: &Query,
         overrides: &CardOverrides,
-        pinned: &[crate::dp::PinnedLeaf],
+        pinned: &[PinnedLeaf],
         memo: &mut PlanMemo,
     ) -> Result<Planned> {
-        if pinned.is_empty() {
-            return self.optimize_incremental(query, overrides, memo);
-        }
-        if query.num_relations() > self.config.geqo_threshold {
-            return Err(reopt_common::Error::invalid(format!(
+        self.search(query, overrides, memo, pinned)
+    }
+
+    /// The one search behind every `optimize*` entry point: validate the
+    /// query, build the Γ-overridden estimator and the cost model, then
+    /// plan by DP over `memo` — or, beyond `geqo_threshold` relations, by
+    /// the memo-less genetic search, which cannot honor pins.
+    fn search(
+        &self,
+        query: &Query,
+        overrides: &CardOverrides,
+        memo: &mut PlanMemo,
+        pinned: &[PinnedLeaf],
+    ) -> Result<Planned> {
+        let geqo = query.num_relations() > self.config.geqo_threshold;
+        if geqo && !pinned.is_empty() {
+            return Err(Error::invalid(format!(
                 "pinned re-planning needs the DP search: {} relations exceeds geqo_threshold {}",
                 query.num_relations(),
                 self.config.geqo_threshold
@@ -212,16 +180,15 @@ impl<'a> Optimizer<'a> {
             &self.config.cardinality,
         )?;
         let model = CostModel::new(self.config.cost_units);
-        let (plan, search) = crate::dp::plan_dp_pinned(
-            self.db,
-            query,
-            &mut est,
-            &model,
-            &self.config.operators,
-            self.config.left_deep_only,
-            memo,
-            pinned,
-        )?;
+        let ops = &self.config.operators;
+        let (plan, search) = if geqo {
+            plan_geqo(self.db, query, &mut est, &model, ops, &self.config.geqo)?
+        } else {
+            let left_deep = self.config.left_deep_only;
+            plan_dp(
+                self.db, query, &mut est, &model, ops, left_deep, memo, pinned,
+            )?
+        };
         Ok(Planned { plan, search })
     }
 
@@ -483,6 +450,38 @@ mod tests {
         let q = chain_query(5, &[0; 5]);
         let planned = opt.optimize(&q).unwrap();
         assert!(planned.plan.logical_tree().is_left_deep());
+    }
+
+    #[test]
+    fn default_config_plans_by_dp_and_replans_pinned() {
+        let db = chain_db(3, 50, 10);
+        let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
+        let q = chain_query(3, &[0, 0, 0]);
+        let default = Optimizer::with_config(&db, &stats, OptimizerConfig::default());
+        let pg = Optimizer::with_config(&db, &stats, OptimizerConfig::postgres_like());
+        let planned = default.optimize(&q).unwrap();
+        assert!(planned.plan.same_structure(&pg.optimize(&q).unwrap().plan));
+
+        // Pin the plan's one two-relation join as a completed subtree: the
+        // re-plan needs the DP search, which GEQO would refuse.
+        let mut first = None;
+        planned.plan.visit(&mut |n| {
+            if n.relset().len() == 2 && first.is_none() {
+                first = Some(n.clone());
+            }
+        });
+        let first = first.expect("a 3-relation plan has a two-relation join");
+        let pin = PinnedLeaf {
+            set: first.relset(),
+            plan: first,
+            rows: 10.0,
+        };
+        let mut gamma = CardOverrides::new();
+        gamma.insert_exact(pin.set, pin.rows);
+        let replanned = default
+            .optimize_with_pinned(&q, &gamma, &[pin], &mut PlanMemo::new())
+            .unwrap();
+        assert_eq!(replanned.plan.relset(), RelSet::first_n(3));
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub struct ValidationOpts {
     /// it only buys wall-clock, i.e. more re-optimization rounds per
     /// second.
     pub threads: usize,
-    /// Span recorder for the dry run (`sampling.dry_run` plus nested
-    /// `exec.operator` spans). Disabled by default; recording never feeds
-    /// back into Δ, so validation results are invariant under this knob.
-    pub tracer: Tracer,
 }
 
 impl Default for ValidationOpts {
@@ -53,7 +49,6 @@ impl Default for ValidationOpts {
             min_rows: 1.0,
             max_intermediate_rows: 50_000_000,
             threads: 0,
-            tracer: Tracer::disabled(),
         }
     }
 }
@@ -85,7 +80,7 @@ pub fn validate_plan(
     samples: &SampleStore,
     opts: &ValidationOpts,
 ) -> Result<Validation> {
-    dry_run(query, plan, samples, opts, None)
+    dry_run(query, plan, samples, opts, None, &Tracer::disabled())
 }
 
 /// Like [`validate_plan`], but consulting (and refilling) a cross-round
@@ -98,14 +93,19 @@ pub fn validate_plan(
 /// *queries* and *sample stores* of the same database is sound: entries
 /// are keyed by the table-aware canonical fingerprint and the sample
 /// version of every covered table.
+///
+/// The dry run records a `sampling.dry_run` span, with nested
+/// `exec.operator` spans, under `tracer`. Recording never feeds back into
+/// Δ.
 pub fn validate_plan_cached(
     query: &Query,
     plan: &PhysicalPlan,
     samples: &SampleStore,
     opts: &ValidationOpts,
     cache: &mut SharedSampleRunCache,
+    tracer: &Tracer,
 ) -> Result<Validation> {
-    dry_run(query, plan, samples, opts, Some(cache))
+    dry_run(query, plan, samples, opts, Some(cache), tracer)
 }
 
 fn dry_run(
@@ -114,14 +114,15 @@ fn dry_run(
     samples: &SampleStore,
     opts: &ValidationOpts,
     mut cache: Option<&mut SharedSampleRunCache>,
+    tracer: &Tracer,
 ) -> Result<Validation> {
-    let mut span = opts.tracer.span(names::SAMPLING_DRY_RUN);
+    let mut span = tracer.span(names::SAMPLING_DRY_RUN);
     let exec = Executor::with_opts(
         samples.database(),
         ExecOpts {
             max_intermediate_rows: opts.max_intermediate_rows,
             threads: opts.threads,
-            tracer: opts.tracer.under(&span),
+            tracer: tracer.under(&span),
         },
     );
     if let Some(c) = cache.as_mut() {
@@ -303,12 +304,16 @@ mod tests {
         let opts = ValidationOpts::default();
         let mut cache = SharedSampleRunCache::new();
 
-        let before = validate_plan_cached(&q, &plan, &samples, &opts, &mut cache).unwrap();
+        let before =
+            validate_plan_cached(&q, &plan, &samples, &opts, &mut cache, &Tracer::disabled())
+                .unwrap();
         let est_before = before.delta.get(RelSet::first_n(2)).unwrap();
         assert_eq!(est_before, 16.0); // 4 × 4 matching pairs at value 0
 
         // Same (query, samples, cache): a pure replay.
-        let replay = validate_plan_cached(&q, &plan, &samples, &opts, &mut cache).unwrap();
+        let replay =
+            validate_plan_cached(&q, &plan, &samples, &opts, &mut cache, &Tracer::disabled())
+                .unwrap();
         assert!(replay.cache_hits > 0);
         assert_eq!(replay.delta.get(RelSet::first_n(2)).unwrap(), est_before);
 
@@ -319,7 +324,9 @@ mod tests {
         assert_ne!(samples2.data_version(), samples.data_version());
 
         // The SAME cache must not answer from the pre-ingest entries.
-        let after = validate_plan_cached(&q, &plan, &samples2, &opts, &mut cache).unwrap();
+        let after =
+            validate_plan_cached(&q, &plan, &samples2, &opts, &mut cache, &Tracer::disabled())
+                .unwrap();
         assert_eq!(after.cache_hits, 0, "stale pre-ingest dry-run replayed");
         assert!(after.subtrees_executed > 0);
         let est_after = after.delta.get(RelSet::first_n(2)).unwrap();
@@ -350,9 +357,11 @@ mod tests {
         let (q, plan) = pair_query(0, 0);
         let opts = ValidationOpts::default();
         let mut cache = SharedSampleRunCache::new();
-        let via_a = validate_plan_cached(&q, &plan, &a, &opts, &mut cache).unwrap();
+        let via_a =
+            validate_plan_cached(&q, &plan, &a, &opts, &mut cache, &Tracer::disabled()).unwrap();
         assert_eq!(via_a.delta.get(RelSet::first_n(2)), Some(16.0));
-        let via_b = validate_plan_cached(&q, &plan, &b, &opts, &mut cache).unwrap();
+        let via_b =
+            validate_plan_cached(&q, &plan, &b, &opts, &mut cache, &Tracer::disabled()).unwrap();
         let uncached = validate_plan(&q, &plan, &b, &opts).unwrap();
         assert_eq!(uncached.delta.get(RelSet::first_n(2)), Some(32.0));
         assert_eq!(
@@ -462,7 +471,15 @@ mod tests {
                     for i in 0..60usize {
                         let q = chain((i % 15) as i64);
                         let plan = &plans[(t + i) % plans.len()];
-                        let v = validate_plan_cached(&q, plan, samples, opts, &mut cache).unwrap();
+                        let v = validate_plan_cached(
+                            &q,
+                            plan,
+                            samples,
+                            opts,
+                            &mut cache,
+                            &Tracer::disabled(),
+                        )
+                        .unwrap();
                         let mut nodes = 0;
                         plan.visit(&mut |_| nodes += 1);
                         assert_eq!(

@@ -4,11 +4,12 @@
 //! Three pieces:
 //!
 //! * [`span`] — structured spans. A [`Tracer`] handle is threaded through
-//!   `QueryService::submit/execute`, `ReOptimizer::run`, the one
-//!   plan-execution path behind `ReoptEngine::execute_plan` (straight
-//!   through, or the `midquery.*` loop), sample validation and the
-//!   executor; each layer opens named, nested spans with typed attributes.
-//!   A disabled tracer is a true no-op.
+//!   `QueryService::submit/execute`, the Algorithm 1 loop behind
+//!   `ReoptEngine::reoptimize_with` and `ReoptEngine::execute`, the one
+//!   plan-execution path behind `ReoptEngine::execute`/`execute_plan`
+//!   (straight through, or the `midquery.*` loop), cached sample
+//!   validation and the executor; each layer opens named, nested spans
+//!   with typed attributes. A disabled tracer is a true no-op.
 //! * [`metrics`] — an ordered counters/gauges/histograms registry with a
 //!   fixed-bucket latency histogram (p50/p95/p99 within 12.5%). Samples
 //!   are whole microseconds, so a sub-µs operation (a warm plan-cache hit

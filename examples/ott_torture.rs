@@ -9,35 +9,34 @@
 //! cargo run --release --example ott_torture
 //! ```
 
-use reopt::core::ReOptimizer;
+use reopt::core::ReoptEngine;
 use reopt::executor::execute_plan;
-use reopt::optimizer::Optimizer;
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
 use reopt::workloads::ott::{
     build_ott_database, estimated_query_size, ott_query, recommended_sample_ratio, true_query_size,
     OttConfig,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = OttConfig::default();
-    let db = build_ott_database(&config)?;
+    let db = Arc::new(build_ott_database(&config)?);
     println!(
         "OTT database: {} tables, {} total rows",
         db.len(),
         db.total_rows()
     );
 
-    let stats = analyze_database(&db, &AnalyzeOpts::default())?;
-    let samples = SampleStore::build(
-        &db,
+    let engine = ReoptEngine::from_database(
+        Arc::clone(&db),
+        &AnalyzeOpts::default(),
         SampleConfig {
             ratio: recommended_sample_ratio(&config),
             ..Default::default()
         },
     )?;
-    let optimizer = Optimizer::new(&db, &stats);
 
     // Four selections A=0 and one A=1: the query is EMPTY, but Lemma 4
     // says the optimizer cannot tell.
@@ -49,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         estimated_query_size(&config, constants.len()),
     );
 
-    let original = optimizer.optimize(&query)?;
+    let original = engine.optimizer().optimize(&query)?;
     println!("\noriginal plan:\n{}", original.plan.explain());
     let t = Instant::now();
     let out = execute_plan(&db, &query, &original.plan)?;
@@ -59,8 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         original_time, out.metrics.rows_produced
     );
 
-    let re = ReOptimizer::new(&optimizer, &samples);
-    let report = re.run(&query)?;
+    let report = engine.reoptimize(&query)?;
     println!("\nre-optimization trace:");
     for r in &report.rounds {
         println!(

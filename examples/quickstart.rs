@@ -5,13 +5,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use reopt::core::{ReOptConfig, ReOptimizer};
-use reopt::executor::execute_plan;
-use reopt::optimizer::Optimizer;
+use std::sync::Arc;
+
+use reopt::core::ReoptEngine;
+use reopt::executor::ExecOpts;
 use reopt::plan::query::{AggExpr, AggSpec, ColRef};
 use reopt::plan::{Predicate, QueryBuilder};
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
 use reopt::storage::{Column, ColumnDef, Database, LogicalType, Table, TableSchema};
 use reopt_common::ColId;
 
@@ -62,9 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(t)
     })?;
 
-    // --- 2. ANALYZE + offline samples (the paper uses a 5% ratio).
-    let stats = analyze_database(&db, &AnalyzeOpts::default())?;
-    let samples = SampleStore::build(&db, SampleConfig::default())?;
+    // --- 2. ANALYZE + offline samples (the paper uses a 5% ratio), owned
+    // by the engine that runs the re-optimization loop.
+    let engine = ReoptEngine::from_database(
+        Arc::new(db),
+        &AnalyzeOpts::default(),
+        SampleConfig::default(),
+    )?;
+    let db = engine.db();
 
     // --- 3. A query: count clicks of kind 7 by users of city 7.
     // (City 7 users produce *only* kind-7 clicks; AVI assumes independence.)
@@ -80,16 +86,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let query = qb.build();
 
-    // --- 4. One-shot optimization vs the re-optimization loop.
-    let optimizer = Optimizer::new(&db, &stats);
-    let original = optimizer.optimize(&query)?;
+    // --- 4. One-shot optimization vs the re-optimization loop, which
+    // then executes its final plan.
+    let original = engine.optimizer().optimize(&query)?;
     println!(
         "original plan (histogram estimates):\n{}",
         original.plan.explain()
     );
 
-    let re = ReOptimizer::with_config(&optimizer, &samples, ReOptConfig::default());
-    let report = re.run(&query)?;
+    let executed = engine.execute(&query, ExecOpts::default())?;
+    let report = &executed.report;
     println!(
         "re-optimization: {} round(s), {} distinct plan(s), converged = {}, loop time = {:?}",
         report.num_rounds(),
@@ -102,10 +108,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.final_plan.explain()
     );
 
-    // --- 5. Execute the final plan.
-    let out = execute_plan(&db, &query, &report.final_plan)?;
-    println!("join rows: {}", out.join_rows);
-    if let Some(agg) = out.agg {
+    // --- 5. The final plan's result.
+    println!("join rows: {}", executed.run.join_rows());
+    if let Some(agg) = &executed.run.agg {
         for row in &agg.rows {
             println!("COUNT(*) = {}", row.aggs[0]);
         }

@@ -6,11 +6,12 @@
 //! cargo run --release --example theory_playground
 //! ```
 
+use std::sync::Arc;
+
 use reopt::analysis::{s_n, simulate_mean};
-use reopt::core::ReOptimizer;
-use reopt::optimizer::Optimizer;
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::core::ReoptEngine;
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
 use reopt::workloads::ott::{build_ott_database, ott_query, recommended_sample_ratio, OttConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,19 +31,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- A real run: Theorems 1, 2, 5 on an OTT query.
     let config = OttConfig::default();
-    let db = build_ott_database(&config)?;
-    let stats = analyze_database(&db, &AnalyzeOpts::default())?;
-    let samples = SampleStore::build(
-        &db,
+    let engine = ReoptEngine::from_database(
+        Arc::new(build_ott_database(&config)?),
+        &AnalyzeOpts::default(),
         SampleConfig {
             ratio: recommended_sample_ratio(&config),
             ..Default::default()
         },
     )?;
-    let optimizer = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&optimizer, &samples);
-    let query = ott_query(&db, &[0, 0, 1, 0, 0, 1])?;
-    let report = re.run(&query)?;
+    let query = ott_query(engine.db(), &[0, 0, 1, 0, 0, 1])?;
+    let report = engine.reoptimize(&query)?;
 
     println!("\nOTT query, 6 relations:");
     println!(
@@ -61,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(()) => println!("  Theorem 2 holds: globals first, ≤1 trailing local"),
         Err(e) => println!("  Theorem 2 VIOLATED: {e}"),
     }
-    let (final_cost, per_round) = re.verify_final_optimality(&query, &report)?;
+    let (final_cost, per_round) = report.verify_final_optimality(&engine.optimizer(), &query)?;
     println!("  Theorem 5: cost_s(final) = {final_cost:.1} vs per-round {per_round:?}");
     assert!(per_round.iter().all(|c| final_cost <= c * (1.0 + 1e-9)));
     println!("  Theorem 5 holds: final plan is cheapest under the final Γ");

@@ -10,31 +10,32 @@
 //! ```
 
 use reopt::common::rng::derive_rng_indexed;
-use reopt::core::ReOptimizer;
+use reopt::core::ReoptEngine;
 use reopt::executor::execute_plan;
-use reopt::optimizer::Optimizer;
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
 use reopt::workloads::tpch::{build_tpch_database, instantiate, TpchConfig};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let db = build_tpch_database(&TpchConfig::default())?;
+    let db = Arc::new(build_tpch_database(&TpchConfig::default())?);
     println!(
         "TPC-H-like database at scale {:.3}: lineitem = {} rows",
         TpchConfig::default().scale,
         db.table_by_name("lineitem")?.row_count()
     );
-    let stats = analyze_database(&db, &AnalyzeOpts::default())?;
-    let samples = SampleStore::build(&db, SampleConfig::default())?;
-    let optimizer = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&optimizer, &samples);
+    let engine = ReoptEngine::from_database(
+        Arc::clone(&db),
+        &AnalyzeOpts::default(),
+        SampleConfig::default(),
+    )?;
 
     for name in ["q9", "q21", "q3"] {
         let mut rng = derive_rng_indexed(0xbeef, name, 0);
         let query = instantiate(&db, name, &mut rng)?;
         println!("\n--- {name} ---\n{}", reopt::plan::to_sql(&query, &db));
-        let report = re.run(&query)?;
+        let report = engine.reoptimize(&query)?;
 
         let t = Instant::now();
         execute_plan(&db, &query, &report.rounds[0].plan)?;

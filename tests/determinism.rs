@@ -4,11 +4,12 @@
 //! `ReoptReport` bit-for-bit (modulo wall-clock timings) even when every
 //! object is rebuilt from scratch.
 
+use std::sync::Arc;
+
 use reopt::common::rng::{derive_rng_indexed, derive_seed};
-use reopt::core::{ReOptimizer, ReoptReport};
-use reopt::optimizer::Optimizer;
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::core::{ReoptEngine, ReoptReport};
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
 use reopt::storage::Database;
 use reopt::workloads::tpch::{build_tpch_database, instantiate, TpchConfig};
 
@@ -47,14 +48,15 @@ fn replay_digest(report: &ReoptReport) -> (Vec<RoundDigest>, String, bool, Vec<(
 }
 
 fn run_once(seed_label: u64) -> ReoptReport {
-    let db = build_db();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = ReoptEngine::from_database(
+        Arc::new(build_db()),
+        &AnalyzeOpts::default(),
+        SampleConfig::default(),
+    )
+    .unwrap();
     let mut rng = derive_rng_indexed(seed_label, "determinism", 0);
-    let q = instantiate(&db, "q8", &mut rng).unwrap();
-    re.run(&q).unwrap()
+    let q = instantiate(re.db(), "q8", &mut rng).unwrap();
+    re.reoptimize(&q).unwrap()
 }
 
 /// Same seed ⇒ identical database, bit for bit.

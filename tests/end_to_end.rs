@@ -1,11 +1,13 @@
 //! Cross-crate integration tests: generator → ANALYZE → optimizer →
 //! executor → re-optimizer, checked for mutual consistency.
 
+use std::sync::Arc;
+
 use reopt::common::rng::derive_rng_indexed;
-use reopt::core::{ReOptConfig, ReOptimizer};
+use reopt::core::{ReOptConfig, ReoptEngine};
 use reopt::executor::execute_plan;
 use reopt::optimizer::{OperatorSet, Optimizer, OptimizerConfig};
-use reopt::sampling::{SampleConfig, SampleStore};
+use reopt::sampling::SampleConfig;
 use reopt::stats::{analyze_database, AnalyzeOpts};
 use reopt::storage::Database;
 use reopt::workloads::ott::{
@@ -31,13 +33,30 @@ fn small_ott() -> (OttConfig, Database) {
     (config, db)
 }
 
-fn ott_samples(config: &OttConfig, db: &Database) -> SampleStore {
-    SampleStore::build(
-        db,
-        SampleConfig {
-            ratio: recommended_sample_ratio(config),
-            ..Default::default()
-        },
+/// An engine over `small_ott()`, sampled at the recommended ratio.
+fn ott_engine(reopt: ReOptConfig) -> (OttConfig, ReoptEngine) {
+    let (config, db) = small_ott();
+    let sample = SampleConfig {
+        ratio: recommended_sample_ratio(&config),
+        ..Default::default()
+    };
+    let engine = ReoptEngine::from_database_with_configs(
+        Arc::new(db),
+        &AnalyzeOpts::default(),
+        sample,
+        OptimizerConfig::default(),
+        reopt,
+    )
+    .unwrap();
+    (config, engine)
+}
+
+/// An engine with default samples and loop configuration.
+fn engine(db: Database) -> ReoptEngine {
+    ReoptEngine::from_database(
+        Arc::new(db),
+        &AnalyzeOpts::default(),
+        SampleConfig::default(),
     )
     .unwrap()
 }
@@ -97,17 +116,14 @@ fn plan_shape_does_not_change_results() {
 /// exactly the same join cardinality and aggregate as the original plan.
 #[test]
 fn reoptimization_preserves_semantics() {
-    let db = small_tpch();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = engine(small_tpch());
+    let db = re.db();
     for name in ["q3", "q5", "q8", "q9", "q17", "q21"] {
         let mut rng = derive_rng_indexed(6, name, 0);
-        let q = instantiate(&db, name, &mut rng).unwrap();
-        let report = re.run(&q).unwrap();
-        let orig = execute_plan(&db, &q, &report.rounds[0].plan).unwrap();
-        let fin = execute_plan(&db, &q, &report.final_plan).unwrap();
+        let q = instantiate(db, name, &mut rng).unwrap();
+        let report = re.reoptimize(&q).unwrap();
+        let orig = execute_plan(db, &q, &report.rounds[0].plan).unwrap();
+        let fin = execute_plan(db, &q, &report.final_plan).unwrap();
         assert_eq!(orig.join_rows, fin.join_rows, "{name}");
         assert_eq!(orig.agg, fin.agg, "{name}: aggregates differ");
     }
@@ -117,15 +133,12 @@ fn reoptimization_preserves_semantics() {
 /// under both original and re-optimized plans.
 #[test]
 fn ott_cardinalities_match_closed_form() {
-    let (config, db) = small_ott();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = ott_samples(&config, &db);
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let (config, re) = ott_engine(ReOptConfig::default());
+    let db = re.db();
     for consts in [vec![0i64, 0, 0, 1], vec![0, 0, 0, 0], vec![1, 1, 0, 1]] {
-        let q = ott_query(&db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
-        let rows = execute_plan(&db, &q, &report.final_plan).unwrap().join_rows;
+        let q = ott_query(db, &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
+        let rows = execute_plan(db, &q, &report.final_plan).unwrap().join_rows;
         let expected = reopt::workloads::ott::true_query_size(&config, &consts);
         assert_eq!(rows as f64, expected, "constants {consts:?}");
     }
@@ -135,14 +148,10 @@ fn ott_cardinalities_match_closed_form() {
 /// slower than the originals by more than measurement noise.
 #[test]
 fn ott_suite_converges() {
-    let (config, db) = small_ott();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = ott_samples(&config, &db);
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let (_, re) = ott_engine(ReOptConfig::default());
     for consts in ott_query_suite(5, 4) {
-        let q = ott_query(&db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         assert!(report.converged, "no convergence for {consts:?}");
         assert!(
             report.num_rounds() <= 10,
@@ -155,22 +164,21 @@ fn ott_suite_converges() {
 /// TPC-DS templates run end-to-end through the loop.
 #[test]
 fn tpcds_templates_run() {
-    let db = tpcds::build_tpcds_database(&tpcds::TpcdsConfig {
-        scale: 0.05,
-        ..Default::default()
-    })
-    .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = engine(
+        tpcds::build_tpcds_database(&tpcds::TpcdsConfig {
+            scale: 0.05,
+            ..Default::default()
+        })
+        .unwrap(),
+    );
+    let db = re.db();
     for name in tpcds::all_template_names() {
         let mut rng = derive_rng_indexed(7, name, 0);
-        let q = tpcds::instantiate(&db, name, &mut rng).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = tpcds::instantiate(db, name, &mut rng).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         assert!(report.converged, "{name} did not converge");
-        let orig = execute_plan(&db, &q, &report.rounds[0].plan).unwrap();
-        let fin = execute_plan(&db, &q, &report.final_plan).unwrap();
+        let orig = execute_plan(db, &q, &report.rounds[0].plan).unwrap();
+        let fin = execute_plan(db, &q, &report.final_plan).unwrap();
         assert_eq!(orig.join_rows, fin.join_rows, "{name}");
     }
 }
@@ -178,17 +186,12 @@ fn tpcds_templates_run() {
 /// The loop respects its time budget strategy.
 #[test]
 fn time_budget_is_honored() {
-    let (config, db) = small_ott();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = ott_samples(&config, &db);
-    let opt = Optimizer::new(&db, &stats);
-    let config = ReOptConfig {
+    let (_, re) = ott_engine(ReOptConfig {
         time_budget: Some(std::time::Duration::ZERO),
         ..Default::default()
-    };
-    let re = ReOptimizer::with_config(&opt, &samples, config);
-    let q = ott_query(&db, &[0, 0, 0, 0, 1]).unwrap();
-    let report = re.run(&q).unwrap();
+    });
+    let q = ott_query(re.db(), &[0, 0, 0, 0, 1]).unwrap();
+    let report = re.reoptimize(&q).unwrap();
     // A zero budget stops after the first validated round (or converges
     // trivially); either way, at most 2 optimizer calls.
     assert!(report.num_rounds() <= 2, "rounds: {}", report.num_rounds());

@@ -7,14 +7,16 @@
 //! OTT chains whose plans change over several rounds. The caches are pure
 //! work-avoidance; any observable divergence is a bug.
 
+use std::sync::Arc;
+
 use reopt::common::rng::derive_rng_indexed;
 use reopt::common::{ColId, TableId};
-use reopt::core::{ReOptConfig, ReOptimizer, ReoptReport};
+use reopt::core::{ReOptConfig, ReoptEngine, ReoptReport};
 use reopt::optimizer::{CardOverrides, Optimizer};
 use reopt::plan::query::ColRef;
 use reopt::plan::{PhysicalPlan, Predicate, Query, QueryBuilder};
 use reopt::sampling::{validate_plan, SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts, DatabaseStats};
+use reopt::stats::AnalyzeOpts;
 use reopt::storage::{Column, ColumnDef, Database, LogicalType, Table, TableSchema};
 use reopt::workloads::ott::{
     build_ott_database, ott_query, ott_query_suite, recommended_sample_ratio, OttConfig,
@@ -69,31 +71,25 @@ fn from_scratch(opt: &Optimizer<'_>, samples: &SampleStore, q: &Query) -> Oracle
 }
 
 struct Setup {
-    db: Database,
-    stats: DatabaseStats,
-    samples: SampleStore,
+    engine: ReoptEngine,
 }
 
 impl Setup {
     fn new(db: Database, ratio: f64) -> Self {
-        let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(
-            &db,
-            SampleConfig {
-                ratio,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        Setup { db, stats, samples }
+        let sample = SampleConfig {
+            ratio,
+            ..Default::default()
+        };
+        let engine =
+            ReoptEngine::from_database(Arc::new(db), &AnalyzeOpts::default(), sample).unwrap();
+        Setup { engine }
     }
 
     /// Run the shipped loop and the oracle and assert full observable
     /// equivalence; returns the shipped loop's report.
     fn assert_equivalent(&self, q: &Query, label: &str) -> ReoptReport {
-        let opt = Optimizer::new(&self.db, &self.stats);
-        let a = ReOptimizer::new(&opt, &self.samples).run(q).unwrap();
-        let b = from_scratch(&opt, &self.samples, q);
+        let a = self.engine.reoptimize(q).unwrap();
+        let b = from_scratch(&self.engine.optimizer(), self.engine.samples(), q);
         assert_eq!(a.num_rounds(), b.rounds.len(), "{label}: round counts");
         assert_eq!(a.converged, b.converged, "{label}: convergence");
         for (ra, pb) in a.rounds.iter().zip(&b.rounds) {
@@ -130,7 +126,7 @@ fn ott_incremental_equals_from_scratch() {
     let setup = Setup::new(db, recommended_sample_ratio(&config));
     for (n, m) in [(5usize, 3usize), (6, 3)] {
         for consts in ott_query_suite(n, m) {
-            let q = ott_query(&setup.db, &consts).unwrap();
+            let q = ott_query(setup.engine.db(), &consts).unwrap();
             setup.assert_equivalent(&q, &format!("ott {consts:?}"));
         }
     }
@@ -150,7 +146,7 @@ fn ott_incremental_mode_reuses_work() {
     let setup = Setup::new(db, recommended_sample_ratio(&config));
     let mut saw_multi_round = false;
     for consts in ott_query_suite(5, 3) {
-        let q = ott_query(&setup.db, &consts).unwrap();
+        let q = ott_query(setup.engine.db(), &consts).unwrap();
         let inc = setup.assert_equivalent(&q, &format!("ott {consts:?}"));
         let r1 = &inc.rounds[0];
         assert_eq!(r1.dp_subsets_reused, 0, "{consts:?}: round 1 must be cold");
@@ -188,7 +184,7 @@ fn tpch_incremental_equals_from_scratch() {
     for name in ["q3", "q5", "q9", "q21"] {
         for inst in 0..2u64 {
             let mut rng = derive_rng_indexed(0x1c4e, name, inst);
-            let q = instantiate(&setup.db, name, &mut rng).unwrap();
+            let q = instantiate(setup.engine.db(), name, &mut rng).unwrap();
             setup.assert_equivalent(&q, &format!("tpch {name}#{inst}"));
         }
     }

@@ -3,7 +3,9 @@
 //! observed cardinalities into Γ, re-planning the remainder with completed
 //! subtrees pinned, and resuming yields results **identical** to
 //! straight-through execution — on OTT, TPC-H and TPC-DS templates, at
-//! `threads ∈ {1, 4}`, and under `SubtreeCache` replay (warm shared
+//! `threads ∈ {1, 4}`, both seeded with the sampling loop's Γ and memo
+//! (`ReoptEngine::execute`) and served from empty ones
+//! (`ReoptEngine::execute_plan`), and under `SubtreeCache` replay (warm shared
 //! sample-run caches feeding the initial sampling loop, and the checkpoint
 //! splice path feeding every resume).
 //!
@@ -16,64 +18,79 @@
 //! exactly for ints/strings and to 1e-9 relative tolerance for floats
 //! (summation order is plan-dependent).
 
+use std::sync::Arc;
+
 use reopt::common::rng::derive_rng_indexed;
 use reopt::common::RelId;
-use reopt::core::{execute_mid_query, MidQueryOpts, MidQueryRun, ReOptConfig, ReOptimizer};
+use reopt::core::{execute_mid_query, MidQueryOpts, MidQueryRun, ReOptConfig, ReoptEngine};
 use reopt::executor::{reference, AggOutput, ExecOpts, Executor, RowSet};
-use reopt::optimizer::Optimizer;
 use reopt::plan::Query;
-use reopt::sampling::{SampleConfig, SampleStore, SharedSampleRunCache};
-use reopt::stats::{analyze_database, AnalyzeOpts, DatabaseStats};
+use reopt::sampling::{SampleConfig, SharedSampleRunCache};
+use reopt::stats::AnalyzeOpts;
 use reopt::storage::{Database, Value};
 use reopt::workloads::ott::{build_ott_database, ott_query, recommended_sample_ratio, OttConfig};
 use reopt::workloads::{tpcds, tpch};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-struct Bound {
-    db: Database,
-    stats: DatabaseStats,
-    samples: SampleStore,
+/// An engine over `db` with mid-query off and serial dry runs: its
+/// `execute` is the straight-through reference.
+fn serial_engine(db: Database, sample: SampleConfig) -> ReoptEngine {
+    ReoptEngine::from_database(Arc::new(db), &AnalyzeOpts::default(), sample)
+        .unwrap()
+        .with_validation_threads(1)
 }
 
-fn ott_bound() -> Bound {
+/// `bound` with mid-query re-optimization on under the replan gate
+/// `replan_discrepancy`, dry-running on `threads` workers.
+fn mid_query_engine(
+    bound: &ReoptEngine,
+    replan_discrepancy: Option<f64>,
+    threads: usize,
+) -> ReoptEngine {
+    let config = ReOptConfig {
+        mid_query: true,
+        replan_discrepancy,
+        ..bound.reopt_config().clone()
+    };
+    ReoptEngine::with_configs(
+        Arc::clone(bound.db()),
+        Arc::clone(bound.stats()),
+        Arc::clone(bound.samples()),
+        bound.optimizer_config().clone(),
+        config,
+    )
+    .with_validation_threads(threads)
+}
+
+fn ott_bound() -> ReoptEngine {
     let config = OttConfig {
         rows_per_value: 20,
         ..Default::default()
     };
-    let db = build_ott_database(&config).unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(
-        &db,
-        SampleConfig {
-            ratio: recommended_sample_ratio(&config),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    Bound { db, stats, samples }
+    let sample = SampleConfig {
+        ratio: recommended_sample_ratio(&config),
+        ..Default::default()
+    };
+    serial_engine(build_ott_database(&config).unwrap(), sample)
 }
 
-fn tpch_bound() -> Bound {
+fn tpch_bound() -> ReoptEngine {
     let db = tpch::build_tpch_database(&tpch::TpchConfig {
         scale: 0.005,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    Bound { db, stats, samples }
+    serial_engine(db, SampleConfig::default())
 }
 
-fn tpcds_bound() -> Bound {
+fn tpcds_bound() -> ReoptEngine {
     let db = tpcds::build_tpcds_database(&tpcds::TpcdsConfig {
         scale: 0.05,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    Bound { db, stats, samples }
+    serial_engine(db, SampleConfig::default())
 }
 
 /// Canonical tuple-set view: relations ascending, tuples sorted. Two row
@@ -174,28 +191,37 @@ fn assert_suspension_bound(run: &MidQueryRun, query: &Query, label: &str) {
 /// 3. the mid-query trajectory itself must be thread-count invariant
 ///    (bit-identical rows, same plans, same counters);
 /// 4. every exact Γ entry must equal the true observed cardinality —
-///    estimate == observed, no sampling scale.
-fn check_conformance(bound: &Bound, query: &Query, label: &str) {
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let straight = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(1))
-        .execute_with_opts(query, ExecOpts::serial())
-        .unwrap();
+///    estimate == observed, no sampling scale;
+/// 5. the served path — `execute_plan` on the loop's final plan, Γ and
+///    memo starting empty — obeys 2 and 3 as well.
+fn check_conformance(bound: &ReoptEngine, query: &Query, label: &str) {
+    let straight = bound.execute(query, ExecOpts::serial()).unwrap();
     let reference = canonical(&straight.run.rows);
 
     let mut runs: Vec<MidQueryRun> = Vec::new();
+    let mut served_runs: Vec<MidQueryRun> = Vec::new();
     for threads in THREAD_COUNTS {
         // Exhaustive mode — replan at every materialization point, the
         // strongest form of the contract (the gated default skips replans
         // that confirm beliefs; it is checked separately below).
-        let config = ReOptConfig {
-            mid_query: true,
-            replan_discrepancy: None,
-            ..ReOptConfig::with_threads(threads)
-        };
-        let mid = ReOptimizer::with_config(&opt, &bound.samples, config)
-            .execute_with_opts(query, ExecOpts::with_threads(threads))
+        let engine = mid_query_engine(bound, None, threads);
+        let mid = engine
+            .execute(query, ExecOpts::with_threads(threads))
             .unwrap();
         assert_suspension_bound(&mid.run, query, &format!("{label} threads={threads}"));
+
+        let served = engine
+            .execute_plan(
+                query,
+                &straight.report.final_plan,
+                ExecOpts::with_threads(threads),
+            )
+            .unwrap();
+        let ctx = format!("{label} served threads={threads}");
+        assert_suspension_bound(&served, query, &ctx);
+        assert_eq!(reference, canonical(&served.rows), "{ctx}: result differs");
+        assert_aggs_equivalent(&straight.run.agg, &served.agg, &ctx);
+        served_runs.push(served);
 
         assert_eq!(
             reference,
@@ -229,16 +255,10 @@ fn check_conformance(bound: &Bound, query: &Query, label: &str) {
     // The gated default (replan only on ≥2× disagreement) must land on
     // the identical canonical result too — it can only skip replans,
     // never change what a segment computes.
-    let gated = ReOptimizer::with_config(
-        &opt,
-        &bound.samples,
-        ReOptConfig {
-            mid_query: true,
-            ..ReOptConfig::with_threads(1)
-        },
-    )
-    .execute_with_opts(query, ExecOpts::serial())
-    .unwrap();
+    let gate = ReOptConfig::default().replan_discrepancy;
+    let gated = mid_query_engine(bound, gate, 1)
+        .execute(query, ExecOpts::serial())
+        .unwrap();
     assert_eq!(
         reference,
         canonical(&gated.run.rows),
@@ -246,25 +266,28 @@ fn check_conformance(bound: &Bound, query: &Query, label: &str) {
     );
     assert_suspension_bound(&gated.run, query, &format!("{label} gated"));
 
-    // Thread-count invariance of the whole trajectory.
-    let base = &runs[0];
-    for (i, run) in runs.iter().enumerate().skip(1) {
-        assert_rowsets_bit_identical(
-            &base.rows,
-            &run.rows,
-            &format!("{label}: threads={} vs 1", THREAD_COUNTS[i]),
-        );
-        assert_eq!(
-            trajectory_digest(base),
-            trajectory_digest(run),
-            "{label}: trajectory diverged at threads={}",
-            THREAD_COUNTS[i]
-        );
+    // Thread-count invariance of the whole trajectory, seeded and served.
+    for (path, runs) in [("seeded", &runs), ("served", &served_runs)] {
+        let base = &runs[0];
+        for (i, run) in runs.iter().enumerate().skip(1) {
+            assert_rowsets_bit_identical(
+                &base.rows,
+                &run.rows,
+                &format!("{label} {path}: threads={} vs 1", THREAD_COUNTS[i]),
+            );
+            assert_eq!(
+                trajectory_digest(base),
+                trajectory_digest(run),
+                "{label} {path}: trajectory diverged at threads={}",
+                THREAD_COUNTS[i]
+            );
+        }
     }
 
     // Exactness: every exact Γ entry equals the true cardinality of that
     // set wherever the finishing plan's trace covers it.
-    let exec = Executor::with_opts(&bound.db, ExecOpts::serial());
+    let base = &runs[0];
+    let exec = Executor::with_opts(bound.db(), ExecOpts::serial());
     let trace = exec
         .run_pipeline(query, base.report.final_plan(), None)
         .unwrap()
@@ -288,15 +311,12 @@ fn check_conformance(bound: &Bound, query: &Query, label: &str) {
 /// The same contract when the *initial* sampling loop runs over a warm
 /// shared `SubtreeCache` (dry-run replay): replayed validation must land
 /// on the same plan, and mid-query execution from it on the same result.
-fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let config = ReOptConfig::with_threads(1);
-    let re = ReOptimizer::with_config(&opt, &bound.samples, config);
-
+fn check_replay_conformance(bound: &ReoptEngine, query: &Query, label: &str) {
+    let opt = bound.optimizer();
     let shared = SharedSampleRunCache::new();
     let untraced = reopt::telemetry::Tracer::disabled();
-    let cold = re.run_with(query, &shared, &untraced).unwrap();
-    let warm = re.run_with(query, &shared, &untraced).unwrap(); // full replay
+    let cold = bound.reoptimize_with(query, &shared, &untraced).unwrap();
+    let warm = bound.reoptimize_with(query, &shared, &untraced).unwrap(); // full replay
     assert!(
         cold.final_plan.same_structure(&warm.final_plan),
         "{label}: replayed loop chose a different plan"
@@ -308,7 +328,7 @@ fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
 
     let mid_of = |report: &reopt::core::ReoptReport| {
         execute_mid_query(
-            &bound.db,
+            bound.db(),
             &opt,
             query,
             &report.final_plan,
@@ -338,20 +358,14 @@ fn check_replay_conformance(bound: &Bound, query: &Query, label: &str) {
 /// finishing plan, and the aggregate over those rows is **bit-identical**
 /// to the reference aggregate over the same rows (same input order ⇒ same
 /// float accumulation order).
-fn check_reference_conformance(bound: &Bound, query: &Query, label: &str) {
-    let opt = Optimizer::new(&bound.db, &bound.stats);
+fn check_reference_conformance(bound: &ReoptEngine, query: &Query, label: &str) {
     for threads in THREAD_COUNTS {
-        let config = ReOptConfig {
-            mid_query: true,
-            replan_discrepancy: None,
-            ..ReOptConfig::with_threads(threads)
-        };
-        let mid = ReOptimizer::with_config(&opt, &bound.samples, config)
-            .execute_with_opts(query, ExecOpts::with_threads(threads))
+        let mid = mid_query_engine(bound, None, threads)
+            .execute(query, ExecOpts::with_threads(threads))
             .unwrap()
             .run;
         assert_suspension_bound(&mid, query, &format!("{label} threads={threads}"));
-        let oracle = reference::join_rows(&bound.db, query, mid.report.final_plan()).unwrap();
+        let oracle = reference::join_rows(bound.db(), query, mid.report.final_plan()).unwrap();
         assert_eq!(
             canonical(&oracle),
             canonical(&mid.rows),
@@ -360,7 +374,7 @@ fn check_reference_conformance(bound: &Bound, query: &Query, label: &str) {
         let oracle_agg = query
             .aggregate
             .as_ref()
-            .map(|spec| reference::aggregate(&bound.db, query, &mid.rows, spec).unwrap());
+            .map(|spec| reference::aggregate(bound.db(), query, &mid.rows, spec).unwrap());
         assert_eq!(
             oracle_agg, mid.agg,
             "{label}: aggregate bits diverged from the reference at threads={threads}"
@@ -373,18 +387,13 @@ fn check_reference_conformance(bound: &Bound, query: &Query, label: &str) {
 /// tracer off — same emission-order row sets, same trajectory, equivalent
 /// aggregates — at `threads ∈ {1, 4}`. Telemetry is observation only; it
 /// must never feed back into a plan or a row.
-fn check_tracing_invariance(bound: &Bound, query: &Query, label: &str) {
+fn check_tracing_invariance(bound: &ReoptEngine, query: &Query, label: &str) {
     use reopt::telemetry::{names, Tracer};
-    let opt = Optimizer::new(&bound.db, &bound.stats);
     for threads in THREAD_COUNTS {
+        let engine = mid_query_engine(bound, None, threads);
         let run_with = |tracer: Tracer| {
-            let config = ReOptConfig {
-                mid_query: true,
-                replan_discrepancy: None,
-                ..ReOptConfig::with_threads(threads)
-            };
-            ReOptimizer::with_config(&opt, &bound.samples, config)
-                .execute_with_opts(
+            engine
+                .execute(
                     query,
                     ExecOpts {
                         threads,
@@ -429,7 +438,7 @@ fn check_tracing_invariance(bound: &Bound, query: &Query, label: &str) {
 #[test]
 fn ott_mid_query_tracing_invariance() {
     let bound = ott_bound();
-    let q = ott_query(&bound.db, &[0i64, 0, 0, 1]).unwrap();
+    let q = ott_query(bound.db(), &[0i64, 0, 0, 1]).unwrap();
     check_tracing_invariance(&bound, &q, "ott[0,0,0,1]");
 }
 
@@ -437,7 +446,7 @@ fn ott_mid_query_tracing_invariance() {
 fn tpch_mid_query_tracing_invariance() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(11, "midquery-tpch-trace", 2);
-    let q = tpch::instantiate(&bound.db, "q5", &mut rng).unwrap();
+    let q = tpch::instantiate(bound.db(), "q5", &mut rng).unwrap();
     check_tracing_invariance(&bound, &q, "tpch/q5");
 }
 
@@ -445,7 +454,7 @@ fn tpch_mid_query_tracing_invariance() {
 fn ott_mid_query_reference_conformance() {
     let bound = ott_bound();
     for consts in [vec![0i64, 0, 0, 1], vec![0, 1, 0, 1, 0]] {
-        let q = ott_query(&bound.db, &consts).unwrap();
+        let q = ott_query(bound.db(), &consts).unwrap();
         check_reference_conformance(&bound, &q, &format!("ott{consts:?}"));
     }
 }
@@ -455,7 +464,7 @@ fn tpch_mid_query_reference_conformance() {
     let bound = tpch_bound();
     for name in ["q5", "q9"] {
         let mut rng = derive_rng_indexed(11, "midquery-tpch", 2);
-        let q = tpch::instantiate(&bound.db, name, &mut rng).unwrap();
+        let q = tpch::instantiate(bound.db(), name, &mut rng).unwrap();
         check_reference_conformance(&bound, &q, &format!("tpch/{name}"));
     }
 }
@@ -465,7 +474,7 @@ fn tpcds_mid_query_reference_conformance() {
     let bound = tpcds_bound();
     for name in ["q3", "q50p"] {
         let mut rng = derive_rng_indexed(11, "midquery-tpcds", 2);
-        let q = tpcds::instantiate(&bound.db, name, &mut rng).unwrap();
+        let q = tpcds::instantiate(bound.db(), name, &mut rng).unwrap();
         check_reference_conformance(&bound, &q, &format!("tpcds/{name}"));
     }
 }
@@ -479,7 +488,7 @@ fn ott_mid_query_conformance() {
         vec![0, 1, 0, 1, 0],
         vec![0, 0, 0, 0, 0],
     ] {
-        let q = ott_query(&bound.db, &consts).unwrap();
+        let q = ott_query(bound.db(), &consts).unwrap();
         check_conformance(&bound, &q, &format!("ott{consts:?}"));
     }
 }
@@ -488,7 +497,7 @@ fn ott_mid_query_conformance() {
 fn ott_mid_query_replay_conformance() {
     let bound = ott_bound();
     for consts in [vec![0i64, 0, 0, 1], vec![0, 0, 0, 0, 0]] {
-        let q = ott_query(&bound.db, &consts).unwrap();
+        let q = ott_query(bound.db(), &consts).unwrap();
         check_replay_conformance(&bound, &q, &format!("ott{consts:?}"));
     }
 }
@@ -500,7 +509,7 @@ fn tpch_mid_query_conformance() {
     // conjunctions the native optimizer misestimates).
     for name in ["q5", "q8", "q9"] {
         let mut rng = derive_rng_indexed(11, "midquery-tpch", 0);
-        let q = tpch::instantiate(&bound.db, name, &mut rng).unwrap();
+        let q = tpch::instantiate(bound.db(), name, &mut rng).unwrap();
         check_conformance(&bound, &q, &format!("tpch/{name}"));
     }
 }
@@ -509,7 +518,7 @@ fn tpch_mid_query_conformance() {
 fn tpch_mid_query_replay_conformance() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(11, "midquery-tpch", 1);
-    let q = tpch::instantiate(&bound.db, "q8", &mut rng).unwrap();
+    let q = tpch::instantiate(bound.db(), "q8", &mut rng).unwrap();
     check_replay_conformance(&bound, &q, "tpch/q8");
 }
 
@@ -520,7 +529,7 @@ fn tpcds_mid_query_conformance() {
     // hand-tweaked hard variant; q3 a well-estimated baseline.
     for name in ["q3", "q25", "q50p"] {
         let mut rng = derive_rng_indexed(11, "midquery-tpcds", 0);
-        let q = tpcds::instantiate(&bound.db, name, &mut rng).unwrap();
+        let q = tpcds::instantiate(bound.db(), name, &mut rng).unwrap();
         check_conformance(&bound, &q, &format!("tpcds/{name}"));
     }
 }
@@ -529,7 +538,7 @@ fn tpcds_mid_query_conformance() {
 fn tpcds_mid_query_replay_conformance() {
     let bound = tpcds_bound();
     let mut rng = derive_rng_indexed(11, "midquery-tpcds", 1);
-    let q = tpcds::instantiate(&bound.db, "q50p", &mut rng).unwrap();
+    let q = tpcds::instantiate(bound.db(), "q50p", &mut rng).unwrap();
     check_replay_conformance(&bound, &q, "tpcds/q50p");
 }
 
@@ -539,9 +548,9 @@ fn tpcds_mid_query_replay_conformance() {
 #[test]
 fn same_plan_resume_is_free() {
     let bound = ott_bound();
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let exec = Executor::with_opts(&bound.db, ExecOpts::serial());
-    let q = ott_query(&bound.db, &[0, 0, 0, 0]).unwrap();
+    let opt = bound.optimizer();
+    let exec = Executor::with_opts(bound.db(), ExecOpts::serial());
+    let q = ott_query(bound.db(), &[0, 0, 0, 0]).unwrap();
 
     let mut gamma = reopt::optimizer::CardOverrides::new();
     let mut plan = opt.optimize_with(&q, &gamma).unwrap().plan;
@@ -558,7 +567,7 @@ fn same_plan_resume_is_free() {
 
     let base = exec.run_pipeline(&q, &plan, None).unwrap();
     let mid = execute_mid_query(
-        &bound.db,
+        bound.db(),
         &opt,
         &q,
         &plan,

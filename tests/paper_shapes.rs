@@ -3,12 +3,15 @@
 //! repository's "does it reproduce the paper" gate (EXPERIMENTS.md holds
 //! the quantitative tables).
 
+use std::sync::Arc;
+
 use reopt::common::rng::derive_rng_indexed;
-use reopt::core::ReOptimizer;
+use reopt::core::{ReOptConfig, ReoptEngine};
 use reopt::executor::execute_plan;
-use reopt::optimizer::{Optimizer, SystemProfile};
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::optimizer::{OptimizerConfig, SystemProfile};
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
+use reopt::storage::Database;
 use reopt::workloads::ott::{
     build_ott_database, ott_query, ott_query_suite, recommended_sample_ratio, OttConfig,
 };
@@ -16,6 +19,33 @@ use reopt::workloads::tpcds;
 use reopt::workloads::tpch::{
     all_template_names, build_tpch_database, instantiate, is_hard_template, TpchConfig,
 };
+
+/// An engine over `db` with the given samples and optimizer and the
+/// default loop.
+fn engine(db: Database, sample: SampleConfig, optimizer: OptimizerConfig) -> ReoptEngine {
+    ReoptEngine::from_database_with_configs(
+        Arc::new(db),
+        &AnalyzeOpts::default(),
+        sample,
+        optimizer,
+        ReOptConfig::default(),
+    )
+    .unwrap()
+}
+
+/// An engine over the OTT database of `config`, sampled at the
+/// recommended ratio.
+fn ott_engine(config: &OttConfig) -> ReoptEngine {
+    let sample = SampleConfig {
+        ratio: recommended_sample_ratio(config),
+        ..Default::default()
+    };
+    engine(
+        build_ott_database(config).unwrap(),
+        sample,
+        OptimizerConfig::default(),
+    )
+}
 
 /// §5.3: on the OTT, re-optimization detects the empty joins for *every*
 /// query of both suites, and the repaired plans produce far less
@@ -26,27 +56,17 @@ fn ott_reoptimization_fixes_all_queries() {
         rows_per_value: 12,
         ..Default::default()
     };
-    let db = build_ott_database(&config).unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(
-        &db,
-        SampleConfig {
-            ratio: recommended_sample_ratio(&config),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = ott_engine(&config);
+    let db = re.db();
 
     for (n, m) in [(5usize, 4usize), (6, 4)] {
         let mut worst_original = 0u64;
         let mut worst_final = 0u64;
         for consts in ott_query_suite(n, m) {
-            let q = ott_query(&db, &consts).unwrap();
-            let report = re.run(&q).unwrap();
-            let orig = execute_plan(&db, &q, &report.rounds[0].plan).unwrap();
-            let fin = execute_plan(&db, &q, &report.final_plan).unwrap();
+            let q = ott_query(db, &consts).unwrap();
+            let report = re.reoptimize(&q).unwrap();
+            let orig = execute_plan(db, &q, &report.rounds[0].plan).unwrap();
+            let fin = execute_plan(db, &q, &report.final_plan).unwrap();
             assert_eq!(fin.join_rows, 0, "{consts:?} should be empty");
             worst_original = worst_original.max(orig.metrics.rows_produced);
             worst_final = worst_final.max(fin.metrics.rows_produced);
@@ -71,17 +91,15 @@ fn ott_reoptimization_fixes_all_queries() {
 /// same on its Figure 7(a) and prescribed calibration.)
 #[test]
 fn tpch_hard_queries_change_and_do_not_regress() {
-    let db = build_tpch_database(&TpchConfig {
+    let tpch = build_tpch_database(&TpchConfig {
         scale: 0.01,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let mut config = reopt::optimizer::OptimizerConfig::postgres_like();
+    let mut config = OptimizerConfig::postgres_like();
     config.cost_units = reopt::optimizer::calibrate(7, 1).units;
-    let opt = Optimizer::with_config(&db, &stats, config);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = engine(tpch, SampleConfig::default(), config);
+    let db = re.db();
 
     let mut hard_changed = 0usize;
     let mut hard_total = 0usize;
@@ -90,15 +108,15 @@ fn tpch_hard_queries_change_and_do_not_regress() {
     for name in all_template_names().iter().filter(|n| is_hard_template(n)) {
         for inst in 0..3u64 {
             let mut rng = derive_rng_indexed(0x5a9e, name, inst);
-            let q = instantiate(&db, name, &mut rng).unwrap();
-            let report = re.run(&q).unwrap();
+            let q = instantiate(db, name, &mut rng).unwrap();
+            let report = re.reoptimize(&q).unwrap();
             hard_total += 1;
             hard_changed += report.plan_changed() as usize;
             // Best of 3 runs per plan to damp scheduler noise.
             let time_plan = |plan: &reopt::plan::PhysicalPlan| -> f64 {
                 (0..3)
                     .map(|_| {
-                        let out = execute_plan(&db, &q, plan).unwrap();
+                        let out = execute_plan(db, &q, plan).unwrap();
                         out.metrics.elapsed.as_secs_f64() * 1e3
                     })
                     .fold(f64::INFINITY, f64::min)
@@ -125,22 +143,19 @@ fn tpch_hard_queries_change_and_do_not_regress() {
 /// same as the original ones").
 #[test]
 fn tpch_easy_queries_mostly_unchanged() {
-    let db = build_tpch_database(&TpchConfig {
+    let tpch = build_tpch_database(&TpchConfig {
         scale: 0.01,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = engine(tpch, SampleConfig::default(), OptimizerConfig::default());
 
     let mut unchanged = 0usize;
     let mut total = 0usize;
     for name in all_template_names().iter().filter(|n| !is_hard_template(n)) {
         let mut rng = derive_rng_indexed(0xea5e, name, 0);
-        let q = instantiate(&db, name, &mut rng).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = instantiate(re.db(), name, &mut rng).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         total += 1;
         unchanged += (!report.plan_changed()) as usize;
     }
@@ -154,20 +169,17 @@ fn tpch_easy_queries_mostly_unchanged() {
 /// mostly 1–2) across all workloads.
 #[test]
 fn convergence_is_fast_everywhere() {
-    let db = build_tpch_database(&TpchConfig {
+    let tpch = build_tpch_database(&TpchConfig {
         scale: 0.005,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = engine(tpch, SampleConfig::default(), OptimizerConfig::default());
     let mut histogram = [0usize; 11];
     for name in all_template_names() {
         let mut rng = derive_rng_indexed(0xc0, name, 0);
-        let q = instantiate(&db, name, &mut rng).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = instantiate(re.db(), name, &mut rng).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         assert!(report.converged, "{name}");
         assert!(
             report.num_rounds() < 10,
@@ -191,25 +203,22 @@ fn commercial_profiles_share_the_trap_and_the_fix() {
         rows_per_value: 12,
         ..Default::default()
     };
-    let db = build_ott_database(&config).unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(
-        &db,
-        SampleConfig {
-            ratio: recommended_sample_ratio(&config),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let base = ott_engine(&config);
+    let db = base.db();
     for profile in [SystemProfile::CommercialA, SystemProfile::CommercialB] {
-        let opt = Optimizer::with_config(&db, &stats, profile.config());
-        let re = ReOptimizer::new(&opt, &samples);
+        let re = ReoptEngine::with_configs(
+            Arc::clone(db),
+            Arc::clone(base.stats()),
+            Arc::clone(base.samples()),
+            profile.config(),
+            ReOptConfig::default(),
+        );
         let mut worst_original = 0u64;
         for consts in ott_query_suite(5, 4) {
-            let q = ott_query(&db, &consts).unwrap();
-            let report = re.run(&q).unwrap();
-            let orig = execute_plan(&db, &q, &report.rounds[0].plan).unwrap();
-            let fin = execute_plan(&db, &q, &report.final_plan).unwrap();
+            let q = ott_query(db, &consts).unwrap();
+            let report = re.reoptimize(&q).unwrap();
+            let orig = execute_plan(db, &q, &report.rounds[0].plan).unwrap();
+            let fin = execute_plan(db, &q, &report.final_plan).unwrap();
             assert_eq!(fin.join_rows, 0);
             worst_original = worst_original.max(orig.metrics.rows_produced);
             assert!(
@@ -229,21 +238,22 @@ fn commercial_profiles_share_the_trap_and_the_fix() {
 /// the stock q50 keeps its plan.
 #[test]
 fn tpcds_q50_variants_behave_as_in_paper() {
-    let db = tpcds::build_tpcds_database(&tpcds::TpcdsConfig {
+    let tpcds_db = tpcds::build_tpcds_database(&tpcds::TpcdsConfig {
         scale: 0.3,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let re = engine(
+        tpcds_db,
+        SampleConfig::default(),
+        OptimizerConfig::default(),
+    );
 
     let mut changed_p = 0;
     for inst in 0..3u64 {
         let mut rng = derive_rng_indexed(0xd50, "q50p", inst);
-        let qp = tpcds::instantiate(&db, "q50p", &mut rng).unwrap();
-        let rp = re.run(&qp).unwrap();
+        let qp = tpcds::instantiate(re.db(), "q50p", &mut rng).unwrap();
+        let rp = re.reoptimize(&qp).unwrap();
         changed_p += rp.plan_changed() as usize;
     }
     assert!(changed_p >= 1, "q50p never re-optimized");

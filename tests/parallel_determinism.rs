@@ -7,54 +7,48 @@
 //! (`reopt::executor::reference`). Parallelism may only buy wall-clock,
 //! never change an answer.
 
+use std::sync::Arc;
+
 use reopt::common::rng::derive_rng_indexed;
-use reopt::core::{ReOptConfig, ReOptimizer, ReoptReport};
+use reopt::core::{ReoptEngine, ReoptReport};
 use reopt::executor::{reference, ExecOpts, Executor, RowSet};
-use reopt::optimizer::Optimizer;
 use reopt::sampling::{
-    validate_plan, validate_plan_cached, SampleConfig, SampleStore, SharedSampleRunCache,
-    ValidationOpts,
+    validate_plan, validate_plan_cached, SampleConfig, SharedSampleRunCache, ValidationOpts,
 };
-use reopt::stats::{analyze_database, AnalyzeOpts, DatabaseStats};
+use reopt::stats::AnalyzeOpts;
 use reopt::storage::Database;
+use reopt::telemetry::{names, Tracer};
 use reopt::workloads::ott::{build_ott_database, ott_query, recommended_sample_ratio, OttConfig};
 use reopt::workloads::tpch::{build_tpch_database, instantiate, TpchConfig};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
-struct Bound {
-    db: Database,
-    stats: DatabaseStats,
-    samples: SampleStore,
+/// An engine over `db` whose loop dry-runs serially.
+fn serial_engine(db: Database, sample: SampleConfig) -> ReoptEngine {
+    ReoptEngine::from_database(Arc::new(db), &AnalyzeOpts::default(), sample)
+        .unwrap()
+        .with_validation_threads(1)
 }
 
-fn ott_bound() -> Bound {
+fn ott_bound() -> ReoptEngine {
     let config = OttConfig {
         rows_per_value: 20,
         ..Default::default()
     };
-    let db = build_ott_database(&config).unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(
-        &db,
-        SampleConfig {
-            ratio: recommended_sample_ratio(&config),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    Bound { db, stats, samples }
+    let sample = SampleConfig {
+        ratio: recommended_sample_ratio(&config),
+        ..Default::default()
+    };
+    serial_engine(build_ott_database(&config).unwrap(), sample)
 }
 
-fn tpch_bound() -> Bound {
+fn tpch_bound() -> ReoptEngine {
     let db = build_tpch_database(&TpchConfig {
         scale: 0.005,
         ..Default::default()
     })
     .unwrap();
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(&db, SampleConfig::default()).unwrap();
-    Bound { db, stats, samples }
+    serial_engine(db, SampleConfig::default())
 }
 
 fn assert_rowsets_identical(a: &RowSet, b: &RowSet, label: &str) {
@@ -99,19 +93,17 @@ fn delta_bits(v: &reopt::sampling::Validation) -> Vec<(u64, u64)> {
 
 /// Full runs, traced runs, and cached (SubtreeCache) dry-runs over one
 /// (query, plan) pair must be bit-identical at every thread count.
-fn check_execution_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str) {
+fn check_execution_invariance(bound: &ReoptEngine, query: &reopt::plan::Query, label: &str) {
     // A deterministic, repaired plan to execute: the serial loop's answer.
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let re = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(1));
-    let plan = re.run(query).unwrap().final_plan;
+    let plan = bound.reoptimize(query).unwrap().final_plan;
 
-    let serial = Executor::with_opts(&bound.db, ExecOpts::serial());
+    let serial = Executor::with_opts(bound.db(), ExecOpts::serial());
     let base = serial.run_pipeline(query, &plan, None).unwrap();
 
     // The SubtreeCache replay path on the *samples* (its production home):
     // run once cold, once fully cached, per thread count.
     let sample_exec = |threads: usize| {
-        let exec = Executor::with_opts(bound.samples.database(), ExecOpts::with_threads(threads));
+        let exec = Executor::with_opts(bound.samples().database(), ExecOpts::with_threads(threads));
         let mut cache = SharedSampleRunCache::new();
         let cold = exec.run_pipeline(query, &plan, Some(&mut cache)).unwrap();
         let warm = exec.run_pipeline(query, &plan, Some(&mut cache)).unwrap();
@@ -128,7 +120,7 @@ fn check_execution_invariance(bound: &Bound, query: &reopt::plan::Query, label: 
     let (base_sample_rows, base_sample_trace) = sample_exec(1);
 
     for threads in THREAD_COUNTS {
-        let exec = Executor::with_opts(&bound.db, ExecOpts::with_threads(threads));
+        let exec = Executor::with_opts(bound.db(), ExecOpts::with_threads(threads));
         let run = exec.run_pipeline(query, &plan, None).unwrap();
         assert_rowsets_identical(&base.rows, &run.rows, &format!("{label} threads={threads}"));
         assert_eq!(
@@ -151,17 +143,21 @@ fn check_execution_invariance(bound: &Bound, query: &reopt::plan::Query, label: 
 
 /// Validated Δ and the whole re-optimization trajectory must be
 /// bit-identical at every thread count.
-fn check_reopt_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str) {
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let serial_re = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(1));
-    let base_report = serial_re.run(query).unwrap();
+fn check_reopt_invariance(bound: &ReoptEngine, query: &reopt::plan::Query, label: &str) {
+    let base_report = bound.reoptimize(query).unwrap();
     let base_digest = replay_digest(&base_report);
     let serial_opts = ValidationOpts {
         threads: 1,
         ..Default::default()
     };
     let base_delta = delta_bits(
-        &validate_plan(query, &base_report.final_plan, &bound.samples, &serial_opts).unwrap(),
+        &validate_plan(
+            query,
+            &base_report.final_plan,
+            bound.samples(),
+            &serial_opts,
+        )
+        .unwrap(),
     );
 
     for threads in THREAD_COUNTS {
@@ -170,7 +166,7 @@ fn check_reopt_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str
             ..Default::default()
         };
         // From-scratch validation.
-        let v = validate_plan(query, &base_report.final_plan, &bound.samples, &opts).unwrap();
+        let v = validate_plan(query, &base_report.final_plan, bound.samples(), &opts).unwrap();
         assert_eq!(
             base_delta,
             delta_bits(&v),
@@ -181,16 +177,17 @@ fn check_reopt_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str
         let vc = validate_plan_cached(
             query,
             &base_report.final_plan,
-            &bound.samples,
+            bound.samples(),
             &opts,
             &mut cache,
+            &Tracer::disabled(),
         )
         .unwrap();
         assert_eq!(base_delta, delta_bits(&vc), "{label}: cached Δ");
 
         // The whole loop: same rounds, same plans, same Γ, same winner.
-        let re = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(threads));
-        let report = re.run(query).unwrap();
+        let re = bound.clone().with_validation_threads(threads);
+        let report = re.reoptimize(query).unwrap();
         assert_eq!(
             base_digest,
             replay_digest(&report),
@@ -203,22 +200,20 @@ fn check_reopt_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str
 /// full database and over the samples — and its aggregate output must be
 /// bit-identical to the row-at-a-time reference (floats compared through
 /// `AggOutput`'s exact equality).
-fn check_reference_equivalence(bound: &Bound, query: &reopt::plan::Query, label: &str) {
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let re = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(1));
-    let plan = re.run(query).unwrap().final_plan;
+fn check_reference_equivalence(bound: &ReoptEngine, query: &reopt::plan::Query, label: &str) {
+    let plan = bound.reoptimize(query).unwrap().final_plan;
 
-    let oracle = reference::join_rows(&bound.db, query, &plan).unwrap();
+    let oracle = reference::join_rows(bound.db(), query, &plan).unwrap();
     let oracle_agg = query
         .aggregate
         .as_ref()
-        .map(|spec| reference::aggregate(&bound.db, query, &oracle, spec).unwrap());
-    let sample_db = bound.samples.database();
+        .map(|spec| reference::aggregate(bound.db(), query, &oracle, spec).unwrap());
+    let sample_db = bound.samples().database();
     let sample_oracle = reference::join_rows(sample_db, query, &plan).unwrap();
 
     for threads in [1usize, 4] {
         let ctx = format!("{label} vs reference threads={threads}");
-        let exec = Executor::with_opts(&bound.db, ExecOpts::with_threads(threads));
+        let exec = Executor::with_opts(bound.db(), ExecOpts::with_threads(threads));
         let run = exec.run_pipeline(query, &plan, None).unwrap();
         assert_rowsets_identical(&oracle, &run.rows, &ctx);
         assert_eq!(
@@ -242,17 +237,14 @@ fn check_reference_equivalence(bound: &Bound, query: &reopt::plan::Query, label:
 /// traces, validated Δ, and whole re-optimization trajectories with the
 /// tracer on must be bit-identical to the tracer-off runs — at
 /// `threads ∈ {1, 4}`.
-fn check_tracing_invariance(bound: &Bound, query: &reopt::plan::Query, label: &str) {
-    use reopt::telemetry::{names, Tracer};
-    let opt = Optimizer::new(&bound.db, &bound.stats);
-    let re = ReOptimizer::with_config(&opt, &bound.samples, ReOptConfig::with_threads(1));
-    let plan = re.run(query).unwrap().final_plan;
+fn check_tracing_invariance(bound: &ReoptEngine, query: &reopt::plan::Query, label: &str) {
+    let plan = bound.reoptimize(query).unwrap().final_plan;
 
     for threads in [1usize, 4] {
         let ctx = format!("{label}: threads={threads}");
         let engine = |tracer: Tracer| {
             Executor::with_opts(
-                &bound.db,
+                bound.db(),
                 ExecOpts {
                     threads,
                     tracer,
@@ -297,15 +289,17 @@ fn check_tracing_invariance(bound: &Bound, query: &reopt::plan::Query, label: &s
         );
 
         // Validation: Δ must not depend on the tracer.
-        let vopts = |tracer: Tracer| ValidationOpts {
+        let vopts = ValidationOpts {
             threads,
-            tracer,
             ..Default::default()
         };
-        let off_v =
-            validate_plan(query, &plan, &bound.samples, &vopts(Tracer::disabled())).unwrap();
+        let validate = |tracer: &Tracer| {
+            let mut cache = SharedSampleRunCache::new();
+            validate_plan_cached(query, &plan, bound.samples(), &vopts, &mut cache, tracer).unwrap()
+        };
+        let off_v = validate(&Tracer::disabled());
         let vtracer = Tracer::enabled();
-        let on_v = validate_plan(query, &plan, &bound.samples, &vopts(vtracer.clone())).unwrap();
+        let on_v = validate(&vtracer);
         assert_eq!(
             delta_bits(&off_v),
             delta_bits(&on_v),
@@ -318,13 +312,11 @@ fn check_tracing_invariance(bound: &Bound, query: &reopt::plan::Query, label: &s
         );
 
         // The whole loop: identical trajectory with and without spans.
-        let config = ReOptConfig::with_threads(threads);
-        let off_report = ReOptimizer::with_config(&opt, &bound.samples, config.clone())
-            .run(query)
-            .unwrap();
+        let re = bound.clone().with_validation_threads(threads);
+        let off_report = re.reoptimize(query).unwrap();
         let ltracer = Tracer::enabled();
-        let on_report = ReOptimizer::with_config(&opt, &bound.samples, config)
-            .run_with(query, &SharedSampleRunCache::new(), &ltracer)
+        let on_report = re
+            .reoptimize_with(query, &SharedSampleRunCache::new(), &ltracer)
             .unwrap();
         assert_eq!(
             replay_digest(&off_report),
@@ -344,7 +336,7 @@ fn check_tracing_invariance(bound: &Bound, query: &reopt::plan::Query, label: &s
 #[test]
 fn ott_tracing_is_bit_identical() {
     let bound = ott_bound();
-    let q = ott_query(&bound.db, &[0i64, 0, 0, 1]).unwrap();
+    let q = ott_query(bound.db(), &[0i64, 0, 0, 1]).unwrap();
     check_tracing_invariance(&bound, &q, "ott[0,0,0,1]");
 }
 
@@ -352,7 +344,7 @@ fn ott_tracing_is_bit_identical() {
 fn tpch_tracing_is_bit_identical() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(7, "parallel-determinism-trace", 2);
-    let q = instantiate(&bound.db, "q5", &mut rng).unwrap();
+    let q = instantiate(bound.db(), "q5", &mut rng).unwrap();
     check_tracing_invariance(&bound, &q, "tpch/q5");
 }
 
@@ -360,7 +352,7 @@ fn tpch_tracing_is_bit_identical() {
 fn ott_engine_matches_reference() {
     let bound = ott_bound();
     for consts in [vec![0i64, 0, 0, 0], vec![0, 0, 0, 1]] {
-        let q = ott_query(&bound.db, &consts).unwrap();
+        let q = ott_query(bound.db(), &consts).unwrap();
         check_reference_equivalence(&bound, &q, &format!("ott{consts:?}"));
     }
 }
@@ -370,7 +362,7 @@ fn tpch_engine_matches_reference() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(7, "parallel-determinism", 2);
     for name in ["q5", "q8"] {
-        let q = instantiate(&bound.db, name, &mut rng).unwrap();
+        let q = instantiate(bound.db(), name, &mut rng).unwrap();
         check_reference_equivalence(&bound, &q, &format!("tpch/{name}"));
     }
 }
@@ -381,7 +373,7 @@ fn ott_execution_is_thread_count_invariant() {
     // Non-empty 4-chain (the M^4 blow-up exercises real join volume) and
     // the empty-edge repair fixture.
     for consts in [vec![0i64, 0, 0, 0], vec![0, 0, 0, 1]] {
-        let q = ott_query(&bound.db, &consts).unwrap();
+        let q = ott_query(bound.db(), &consts).unwrap();
         check_execution_invariance(&bound, &q, &format!("ott{consts:?}"));
     }
 }
@@ -390,7 +382,7 @@ fn ott_execution_is_thread_count_invariant() {
 fn ott_reoptimization_is_thread_count_invariant() {
     let bound = ott_bound();
     for consts in [vec![0i64, 0, 0, 0], vec![0, 0, 0, 1], vec![0, 1, 0, 1, 0]] {
-        let q = ott_query(&bound.db, &consts).unwrap();
+        let q = ott_query(bound.db(), &consts).unwrap();
         check_reopt_invariance(&bound, &q, &format!("ott{consts:?}"));
     }
 }
@@ -399,7 +391,7 @@ fn ott_reoptimization_is_thread_count_invariant() {
 fn tpch_execution_is_thread_count_invariant() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(7, "parallel-determinism", 0);
-    let q = instantiate(&bound.db, "q8", &mut rng).unwrap();
+    let q = instantiate(bound.db(), "q8", &mut rng).unwrap();
     check_execution_invariance(&bound, &q, "tpch/q8");
 }
 
@@ -408,7 +400,7 @@ fn tpch_reoptimization_is_thread_count_invariant() {
     let bound = tpch_bound();
     let mut rng = derive_rng_indexed(7, "parallel-determinism", 1);
     for name in ["q5", "q9"] {
-        let q = instantiate(&bound.db, name, &mut rng).unwrap();
+        let q = instantiate(bound.db(), name, &mut rng).unwrap();
         check_reopt_invariance(&bound, &q, &format!("tpch/{name}"));
     }
 }

@@ -5,14 +5,14 @@
 use proptest::prelude::*;
 
 use reopt::common::{ColId, RelSet, TableId};
-use reopt::core::ReOptimizer;
+use reopt::core::ReoptEngine;
 use reopt::executor::execute_plan;
 use reopt::optimizer::{
     CardEstConfig, CardOverrides, CardinalityEstimator, OperatorSet, Optimizer, OptimizerConfig,
 };
 use reopt::plan::query::ColRef;
 use reopt::plan::{Predicate, Query, QueryBuilder};
-use reopt::sampling::{SampleConfig, SampleStore};
+use reopt::sampling::SampleConfig;
 use reopt::stats::{analyze_database, AnalyzeOpts};
 use reopt::storage::{Column, ColumnDef, Database, LogicalType, Table, TableSchema};
 
@@ -186,22 +186,23 @@ proptest! {
     /// the final plan is cheapest under the final Γ (Theorem 5).
     #[test]
     fn reopt_loop_invariants(spec in query_spec(), seed in 0u64..1000) {
-        let db = build_db(&spec, seed);
         let q = build_query(&spec);
-        let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(&db, SampleConfig {
-            ratio: 0.3, // small tables need a generous ratio
-            ..Default::default()
-        }).unwrap();
-        let opt = Optimizer::new(&db, &stats);
-        let re = ReOptimizer::new(&opt, &samples);
-        let report = re.run(&q).unwrap();
+        let re = ReoptEngine::from_database(
+            std::sync::Arc::new(build_db(&spec, seed)),
+            &AnalyzeOpts::default(),
+            SampleConfig {
+                ratio: 0.3, // small tables need a generous ratio
+                ..Default::default()
+            },
+        ).unwrap();
+        let db = re.db();
+        let report = re.reoptimize(&q).unwrap();
         prop_assert!(report.converged);
         report.verify_theorem2().map_err(TestCaseError::fail)?;
-        let orig = execute_plan(&db, &q, &report.rounds[0].plan).unwrap().join_rows;
-        let fin = execute_plan(&db, &q, &report.final_plan).unwrap().join_rows;
+        let orig = execute_plan(db, &q, &report.rounds[0].plan).unwrap().join_rows;
+        let fin = execute_plan(db, &q, &report.final_plan).unwrap().join_rows;
         prop_assert_eq!(orig, fin);
-        let (final_cost, per_round) = re.verify_final_optimality(&q, &report).unwrap();
+        let (final_cost, per_round) = report.verify_final_optimality(&re.optimizer(), &q).unwrap();
         for c in per_round {
             prop_assert!(final_cost <= c * (1.0 + 1e-9));
         }

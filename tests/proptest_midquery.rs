@@ -209,7 +209,7 @@ proptest! {
         let mut est =
             CardinalityEstimator::new(&db, &stats, &q, &gamma, &CardEstConfig::default()).unwrap();
         let mut memo = PlanMemo::new();
-        let (plan, _) = reopt::optimizer::dp::plan_dp_pinned(
+        let (plan, _) = reopt::optimizer::dp::plan_dp(
             &db,
             &q,
             &mut est,

@@ -2,52 +2,44 @@
 //! runs — Theorems 1, 2, 5 and Corollary 2, plus the Lemma 4 blindness
 //! result that motivates the OTT.
 
+use std::sync::Arc;
+
 use reopt::common::{RelId, RelSet};
-use reopt::core::ReOptimizer;
-use reopt::optimizer::{CardEstConfig, CardOverrides, CardinalityEstimator, Optimizer};
+use reopt::core::ReoptEngine;
+use reopt::optimizer::{CardEstConfig, CardOverrides, CardinalityEstimator};
 use reopt::plan::transform::TransformKind;
-use reopt::sampling::{SampleConfig, SampleStore};
-use reopt::stats::{analyze_database, AnalyzeOpts};
+use reopt::sampling::SampleConfig;
+use reopt::stats::AnalyzeOpts;
 use reopt::workloads::ott::{
     build_ott_database, ott_query, ott_query_suite, recommended_sample_ratio, OttConfig,
 };
 
-struct Fixture {
-    db: reopt::storage::Database,
-    stats: reopt::stats::DatabaseStats,
-    samples: SampleStore,
-}
-
-impl Fixture {
-    fn new(rows_per_value: usize) -> Self {
-        let config = OttConfig {
-            rows_per_value,
+/// An engine over the OTT database at `rows_per_value`, sampled at the
+/// recommended ratio.
+fn ott_engine(rows_per_value: usize) -> ReoptEngine {
+    let config = OttConfig {
+        rows_per_value,
+        ..Default::default()
+    };
+    ReoptEngine::from_database(
+        Arc::new(build_ott_database(&config).unwrap()),
+        &AnalyzeOpts::default(),
+        SampleConfig {
+            ratio: recommended_sample_ratio(&config),
             ..Default::default()
-        };
-        let db = build_ott_database(&config).unwrap();
-        let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-        let samples = SampleStore::build(
-            &db,
-            SampleConfig {
-                ratio: recommended_sample_ratio(&config),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        Fixture { db, stats, samples }
-    }
+        },
+    )
+    .unwrap()
 }
 
 /// Theorem 1 / Corollary 1: the loop always terminates, and whenever a
 /// round adds nothing to Γ the next round is terminal.
 #[test]
 fn theorem1_convergence_condition() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
+    let re = ott_engine(8);
     for consts in ott_query_suite(6, 4) {
-        let q = ott_query(&f.db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         assert!(report.converged, "{consts:?}");
         for (i, r) in report.rounds.iter().enumerate() {
             if i + 1 < report.rounds.len() && r.gamma_new_entries == 0 {
@@ -66,12 +58,10 @@ fn theorem1_convergence_condition() {
 /// is global* [local] identical.
 #[test]
 fn theorem2_chain_structure() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
+    let re = ott_engine(8);
     for consts in ott_query_suite(5, 4) {
-        let q = ott_query(&f.db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         report
             .verify_theorem2()
             .unwrap_or_else(|e| panic!("{consts:?}: {e}"));
@@ -82,13 +72,11 @@ fn theorem2_chain_structure() {
 /// plan generated along the way.
 #[test]
 fn theorem5_final_plan_optimality() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
+    let re = ott_engine(8);
     for consts in ott_query_suite(5, 4).into_iter().take(6) {
-        let q = ott_query(&f.db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
-        let (final_cost, per_round) = re.verify_final_optimality(&q, &report).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
+        let (final_cost, per_round) = report.verify_final_optimality(&re.optimizer(), &q).unwrap();
         for (i, c) in per_round.iter().enumerate() {
             assert!(
                 final_cost <= c * (1.0 + 1e-9),
@@ -104,16 +92,14 @@ fn theorem5_final_plan_optimality() {
 /// swaps and operator substitutions of the final plan and re-costing each.
 #[test]
 fn theorem6_final_plan_beats_local_transformations() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
+    let re = ott_engine(8);
     let mut total_alternatives = 0usize;
     for consts in ott_query_suite(5, 4).into_iter().take(6) {
-        let q = ott_query(&f.db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         assert!(report.converged);
-        let examined = re
-            .verify_theorem6(&q, &report)
+        let examined = report
+            .verify_theorem6(&re.optimizer(), &q)
             .unwrap_or_else(|e| panic!("{consts:?}: {e}"));
         total_alternatives += examined;
     }
@@ -124,15 +110,13 @@ fn theorem6_final_plan_beats_local_transformations() {
 /// the tree's unordered join sets match the previous round's exactly.
 #[test]
 fn corollary2_local_step_shares_join_sets() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
+    let re = ott_engine(8);
     for consts in ott_query_suite(6, 4)
         .into_iter()
         .chain(ott_query_suite(5, 4))
     {
-        let q = ott_query(&f.db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         for w in report.rounds.windows(2) {
             if w[1].transform == Some(TransformKind::Local) {
                 assert_eq!(
@@ -152,9 +136,9 @@ fn corollary2_local_step_shares_join_sets() {
 #[test]
 fn corollary2_engineered_local_transformation() {
     use reopt::plan::transform::classify_transformation;
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let q = ott_query(&f.db, &[0, 0]).unwrap();
+    let re = ott_engine(8);
+    let opt = re.optimizer();
+    let q = ott_query(re.db(), &[0, 0]).unwrap();
     let p1 = opt.optimize(&q).unwrap();
 
     // Claim whichever relation the plan currently treats as small is huge.
@@ -184,18 +168,18 @@ fn corollary2_engineered_local_transformation() {
 /// whether or not the constants make it empty — for every prefix length.
 #[test]
 fn lemma4_estimates_blind_to_emptiness() {
-    let f = Fixture::new(8);
+    let re = ott_engine(8);
+    let (db, stats) = (re.db(), re.stats());
     for k in 2..=6usize {
         let empty_consts: Vec<i64> = (0..k).map(|i| (i == k - 1) as i64).collect();
         let nonempty_consts = vec![0i64; k];
-        let q_empty = ott_query(&f.db, &empty_consts).unwrap();
-        let q_nonempty = ott_query(&f.db, &nonempty_consts).unwrap();
+        let q_empty = ott_query(db, &empty_consts).unwrap();
+        let q_nonempty = ott_query(db, &nonempty_consts).unwrap();
         let g = CardOverrides::new();
         let mut e1 =
-            CardinalityEstimator::new(&f.db, &f.stats, &q_empty, &g, &CardEstConfig::default())
-                .unwrap();
+            CardinalityEstimator::new(db, stats, &q_empty, &g, &CardEstConfig::default()).unwrap();
         let mut e2 =
-            CardinalityEstimator::new(&f.db, &f.stats, &q_nonempty, &g, &CardEstConfig::default())
+            CardinalityEstimator::new(db, stats, &q_nonempty, &g, &CardEstConfig::default())
                 .unwrap();
         let all = RelSet::first_n(k);
         let est_empty = e1.rows(all);
@@ -211,12 +195,10 @@ fn lemma4_estimates_blind_to_emptiness() {
 /// (near-)empty join — the mechanism that fixes the plan.
 #[test]
 fn gamma_contains_discovered_empty_join() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
+    let re = ott_engine(8);
     for consts in [vec![0i64, 0, 0, 0, 1], vec![1, 0, 0, 0, 0]] {
-        let q = ott_query(&f.db, &consts).unwrap();
-        let report = re.run(&q).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
+        let report = re.reoptimize(&q).unwrap();
         let empty_joins: Vec<(RelSet, f64)> = report
             .gamma
             .iter()
@@ -242,12 +224,10 @@ fn gamma_contains_discovered_empty_join() {
 /// Determinism across identical runs (foundation for every other check).
 #[test]
 fn full_pipeline_is_deterministic() {
-    let f = Fixture::new(8);
-    let opt = Optimizer::new(&f.db, &f.stats);
-    let re = ReOptimizer::new(&opt, &f.samples);
-    let q = ott_query(&f.db, &[0, 1, 0, 0, 1]).unwrap();
-    let a = re.run(&q).unwrap();
-    let b = re.run(&q).unwrap();
+    let re = ott_engine(8);
+    let q = ott_query(re.db(), &[0, 1, 0, 0, 1]).unwrap();
+    let a = re.reoptimize(&q).unwrap();
+    let b = re.reoptimize(&q).unwrap();
     assert_eq!(a.num_rounds(), b.num_rounds());
     assert!(a.final_plan.same_structure(&b.final_plan));
     let ra: Vec<_> = a.rounds.iter().map(|r| r.plan.fingerprint()).collect();
@@ -258,9 +238,9 @@ fn full_pipeline_is_deterministic() {
 /// RelId sanity for the suite helper (documents the fixture contract).
 #[test]
 fn suite_queries_reference_first_n_tables() {
-    let f = Fixture::new(8);
+    let re = ott_engine(8);
     for consts in ott_query_suite(5, 4) {
-        let q = ott_query(&f.db, &consts).unwrap();
+        let q = ott_query(re.db(), &consts).unwrap();
         assert_eq!(q.num_relations(), 5);
         for i in 0..5 {
             assert_eq!(q.table_of(RelId::new(i)).unwrap().index(), i as usize);
@@ -325,17 +305,16 @@ fn corollary3_overestimation_only_costs_are_monotone() {
         })
         .unwrap();
     }
-    let stats = analyze_database(&db, &AnalyzeOpts::default()).unwrap();
-    let samples = SampleStore::build(
-        &db,
+    let re = ReoptEngine::from_database(
+        Arc::new(db),
+        &AnalyzeOpts::default(),
         SampleConfig {
             ratio: 0.2,
             ..Default::default()
         },
     )
     .unwrap();
-    let opt = Optimizer::new(&db, &stats);
-    let re = ReOptimizer::new(&opt, &samples);
+    let opt = re.optimizer();
 
     let mut qb = QueryBuilder::new();
     let rels: Vec<_> = (0..4usize)
@@ -361,7 +340,7 @@ fn corollary3_overestimation_only_costs_are_monotone() {
         "leaf estimate {native} not an overestimate of 1"
     );
 
-    let report = re.run(&q).unwrap();
+    let report = re.reoptimize(&q).unwrap();
     assert!(report.converged);
     // All Γ entries shrank the estimates (overestimation-only regime)...
     for (set, rows) in report.gamma.iter() {
